@@ -4,12 +4,13 @@
 # mutable-graph write path (the root-package apply/snapshot tests,
 # e.g. TestConcurrentReadersDuringApply, run under it).
 # `make ci` is the umbrella the GitHub workflow runs: formatting gate
-# plus the tier-1 checks.
+# plus the tier-1 checks, plus the suite again at GOMAXPROCS 1 and 4
+# (`make test-cpus`) so single-core assumptions fail on any runner.
 GO ?= go
 
-.PHONY: ci check check-race fmt-check lint vet build test bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cluster-smoke cover fuzz
+.PHONY: ci check check-race fmt-check lint vet build test test-cpus bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cluster-smoke cover fuzz
 
-ci: fmt-check lint check
+ci: fmt-check lint check test-cpus
 
 check: vet build test
 
@@ -43,15 +44,22 @@ build:
 test:
 	$(GO) test ./...
 
+# The suite at GOMAXPROCS 1 and 4: parallel scans, Stats counts and
+# serial == parallel claims must hold on any core count.
+test-cpus:
+	$(GO) test -cpu 1,4 ./...
+
 # Quick-mode paper benchmarks (full versions: go run ./cmd/tsdbench).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Allocation regression gate: the AllocsPerRun suites pin the scoring hot
 # path — ego extraction and per-vertex scoring under every measure — at
-# zero steady-state allocations. Fast enough to run on every change.
+# zero steady-state allocations, and the FlatInN suite pins the serving
+# paths' bytes per call as independent of the graph's vertex count (no
+# n-sized scratch built per call). Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree' -count=1 -v ./internal/ego ./internal/core
+	$(GO) test -run 'AllocFree|FlatInN' -count=1 -v ./internal/ego ./internal/core .
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:

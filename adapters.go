@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io/fs"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
-	"trussdiv/internal/baseline"
 	"trussdiv/internal/core"
 	"trussdiv/internal/pfree"
 	"trussdiv/internal/store"
@@ -1078,27 +1076,34 @@ func (e *hybridEngine) Cost(q Query) Estimate {
 
 // --- comp / kcore native measure engines ---
 
-// baselineEngine adapts a baseline.Model (Comp-Div or Core-Div) into the
-// native engine of its measure. It is routable for that measure only —
-// truss queries never see it — and it is the measure's fast path: once
-// the per-k rankings are prepared (Prepare("comp"/"kcore"), a Batch that
+// measureEngine is the native engine of one non-truss measure (comp:
+// component, kcore: core). It is routable for that measure only — truss
+// queries never see it — and it is the measure's fast path: once the
+// per-k rankings are prepared (Prepare("comp"/"kcore"), a Batch that
 // routes to it, or a v2 index store holding the measure's section), a
 // top-r query is an O(r) prefix read instead of a full ego-network scan.
-type baselineEngine struct {
+// Every score and context it computes goes through one pooled measure
+// scorer that lives as long as the snapshot (byte-identical to the
+// baseline Comp-Div / Core-Div models, which core/measure_test.go pins).
+type measureEngine struct {
 	name    string
 	measure Measure
-	model   baseline.Model
+	scorer  core.DivScorer
 	g       *Graph
 	w       workload
 	cache   *indexCache
 }
 
-func (e *baselineEngine) Name() string { return e.name }
+func newMeasureEngine(name string, m Measure, g *Graph, w workload, cache *indexCache) *measureEngine {
+	return &measureEngine{name: name, measure: m, scorer: core.NewMeasureScorer(g, m), g: g, w: w, cache: cache}
+}
 
-// Measures: exactly the one diversity definition the model computes.
-func (e *baselineEngine) Measures() []Measure { return []Measure{e.measure} }
+func (e *measureEngine) Name() string { return e.name }
 
-func (e *baselineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
+// Measures: exactly the one diversity definition the engine computes.
+func (e *measureEngine) Measures() []Measure { return []Measure{e.measure} }
+
+func (e *measureEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -1112,7 +1117,7 @@ func (e *baselineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, er
 	if perK := e.cache.measureRankings(e.measure, false); perK != nil {
 		p := q.params()
 		p.Measure = e.measure
-		return core.NewRanked(e.g, e.measure, perK).Search(ctx, p)
+		return core.NewRankedWith(e.scorer, e.g, e.measure, perK).Search(ctx, p)
 	}
 	n := e.g.N()
 	// Same preconditions as the truss engines (core.Params.normalized),
@@ -1123,79 +1128,62 @@ func (e *baselineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, er
 	if q.R < 1 {
 		return nil, nil, fmt.Errorf("trussdiv: r = %d, must be >= 1", q.R)
 	}
-	var scored []baseline.VertexScore
-	computed := n
-	if q.Candidates == nil {
-		if q.R > n {
-			q.R = n
-		}
-		top, err := baseline.Search(ctx, e.model, n, q.K, q.R)
-		if err != nil {
-			return nil, nil, err
-		}
-		scored = top
-	} else {
+	count, at := n, func(i int) int32 { return int32(i) }
+	if q.Candidates != nil {
 		seen := make(map[int32]bool, len(q.Candidates))
-		scored = make([]baseline.VertexScore, 0, len(q.Candidates))
+		verts := make([]int32, 0, len(q.Candidates))
 		for _, v := range q.Candidates {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
 			if v < 0 || int(v) >= n {
 				return nil, nil, fmt.Errorf("trussdiv: candidate vertex %d out of range [0,%d)", v, n)
 			}
-			if seen[v] {
-				continue
+			if !seen[v] {
+				seen[v] = true
+				verts = append(verts, v)
 			}
-			seen[v] = true
-			scored = append(scored, baseline.VertexScore{V: v, Score: e.model.Score(v, q.K)})
 		}
-		sort.Slice(scored, func(i, j int) bool {
-			if scored[i].Score != scored[j].Score {
-				return scored[i].Score > scored[j].Score
-			}
-			return scored[i].V < scored[j].V
-		})
-		computed = len(scored)
-		if q.R < len(scored) {
-			scored = scored[:q.R]
+		count, at = len(verts), func(i int) int32 { return verts[i] }
+	}
+	scored := make([]VertexScore, count)
+	for i := range scored {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
+		v := at(i)
+		scored[i] = VertexScore{V: v, Score: e.scorer.Score(v, q.K)}
 	}
-	res := &Result{TopR: make([]VertexScore, len(scored))}
-	for i, e := range scored {
-		res.TopR[i] = VertexScore{V: e.V, Score: e.Score}
-	}
+	core.SortCanonical(scored)
+	res := &Result{TopR: scored[:min(q.R, count)]}
 	if q.IncludeContexts {
 		res.Contexts = make(map[int32][][]int32, len(res.TopR))
 		for _, vs := range res.TopR {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			res.Contexts[vs.V] = e.model.Contexts(vs.V, q.K)
+			res.Contexts[vs.V] = e.scorer.Contexts(vs.V, q.K)
 		}
 	}
 	var stats *Stats
 	if !q.SkipStats {
-		stats = &Stats{ScoreComputations: computed, Candidates: computed}
+		stats = &Stats{ScoreComputations: count, Candidates: count}
 	}
 	return res, stats, nil
 }
 
-func (e *baselineEngine) Score(ctx context.Context, v, k int32) (int, error) {
+func (e *measureEngine) Score(ctx context.Context, v, k int32) (int, error) {
 	if err := singleVertexErr(ctx, e.g, v, k); err != nil {
 		return 0, err
 	}
-	return e.model.Score(v, k), nil
+	return e.scorer.Score(v, k), nil
 }
 
-func (e *baselineEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
+func (e *measureEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
 	if err := singleVertexErr(ctx, e.g, v, k); err != nil {
 		return nil, err
 	}
-	return e.model.Contexts(v, k), nil
+	return e.scorer.Contexts(v, k), nil
 }
 
-func (e *baselineEngine) Cost(q Query) Estimate {
+func (e *measureEngine) Cost(q Query) Estimate {
 	// With the per-k rankings ready the query is an O(r) prefix read plus
 	// per-answer context recovery; on disk they are one cheap sequential
 	// load. Cold, the rankings build costs slightly more than one online
@@ -1241,6 +1229,7 @@ type pfreeEngine struct {
 	g     *Graph
 	w     workload
 	cache *indexCache
+	pools core.MeasurePools // every scorer the engine borrows, per measure
 }
 
 func (e *pfreeEngine) Name() string { return "pfree" }
@@ -1267,7 +1256,7 @@ func (e *pfreeEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 	// The prepared/online split lives in the Searcher; both paths answer
 	// byte-identically, the ranking only removes the scan.
 	ranked := e.cache.pfreeRanking(m, false)
-	return pfree.NewSearcher(e.g, m, ranked).Search(ctx, p)
+	return pfree.NewSearcher(e.pools.Of(m), ranked).Search(ctx, p)
 }
 
 // pointErr validates a single-vertex pfree query: the vertex must be in
@@ -1293,7 +1282,7 @@ func (e *pfreeEngine) Score(ctx context.Context, v, k int32) (int, error) {
 	if err := e.pointErr(ctx, v, k); err != nil {
 		return 0, err
 	}
-	return pfree.ScoreAt(e.g, v, MeasureTruss), nil
+	return pfree.ScoreWith(e.pools.Of(MeasureTruss), v), nil
 }
 
 // Contexts returns the vertex's contexts at its discriminating level
@@ -1302,7 +1291,7 @@ func (e *pfreeEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, erro
 	if err := e.pointErr(ctx, v, k); err != nil {
 		return nil, err
 	}
-	return pfree.ContextsAt(e.g, v, MeasureTruss), nil
+	return pfree.ContextsWith(e.pools.Of(MeasureTruss), v), nil
 }
 
 func (e *pfreeEngine) Cost(q Query) Estimate {

@@ -26,8 +26,9 @@ import (
 // components at every threshold the decomposition reaches.
 func ScoresAllK(g *graph.Graph, v int32, m Measure) []int {
 	// A one-shot VertexScorer: the returned vector aliases its scratch,
-	// which is never reused, so the slice is safe to keep. Loops should
-	// hold one VertexScorer and call its ScoresAllK instead.
+	// which is never reused, so the slice is safe to keep. The scratch
+	// costs an n-sized extraction table, so loops and serving paths
+	// borrow a VertexScorer from a long-lived ScorerPool instead.
 	return NewVertexScorer(g, m).ScoresAllK(v)
 }
 

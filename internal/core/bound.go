@@ -60,16 +60,19 @@ func UpperBound(degree int, egoEdges int32, k int32) int {
 // Bound is the pruned searcher (paper Algorithm 4): sparsify, compute the
 // Lemma-2 upper bound for every surviving vertex, visit candidates in
 // decreasing bound order, and stop as soon as the next bound cannot beat
-// the current r-th best score.
+// the current r-th best score. It owns one ScorerPool per measure for
+// its whole life; truss scans rebind the borrowed scorers to each
+// query's sparsified graph, which keeps g's vertex set.
 type Bound struct {
 	g *graph.Graph
 	// tauFn, when set, supplies the global truss decomposition instead of
 	// recomputing it inside every search (see NewBoundWithTau).
 	tauFn func() []int32
+	pools MeasurePools
 }
 
 // NewBound returns a Bound searcher over g.
-func NewBound(g *graph.Graph) *Bound { return &Bound{g: g} }
+func NewBound(g *graph.Graph) *Bound { return &Bound{g: g, pools: NewMeasurePools(g)} }
 
 // NewBoundWithTau returns a Bound searcher that obtains the global truss
 // decomposition of g from fn — typically a cache backed by an index store
@@ -77,7 +80,7 @@ func NewBound(g *graph.Graph) *Bound { return &Bound{g: g} }
 // decomposition of g (tau indexed by edge ID); the search results are
 // identical either way.
 func NewBoundWithTau(g *graph.Graph, fn func() []int32) *Bound {
-	return &Bound{g: g, tauFn: fn}
+	return &Bound{g: g, tauFn: fn, pools: NewMeasurePools(g)}
 }
 
 // Graph returns the underlying graph.
@@ -135,12 +138,12 @@ func (b *Bound) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 // every measure: collect each candidate's upper bound over candG (the
 // sparsified graph for truss, the original otherwise), visit candidates
 // in decreasing bound order with early termination (scanRanked, one
-// VertexScorer per worker), pad to the canonical answer, and recover
-// contexts with the measure's shared scorer over candG. Keeping one copy
-// is what pins the measure paths to the truss path's tie-break and
-// padding rules — the byte-parity contract.
+// borrowed VertexScorer per worker), pad to the canonical answer, and
+// recover contexts over candG with scorers from the same pool. Keeping
+// one copy is what pins the measure paths to the truss path's tie-break
+// and padding rules — the byte-parity contract.
 func (b *Bound) rankedSearch(ctx context.Context, p Params, candG *graph.Graph, m Measure, ub func(v int32, d int) int) (*Result, *Stats, error) {
-	scorer := NewMeasureScorer(candG, m)
+	pool := b.pools.Of(m)
 	stats := &Stats{}
 	cands := make([]rankedCand, 0, candG.N())
 	err := forEachCandidate(ctx, candG.N(), p.Candidates, false, func(v int32) {
@@ -162,11 +165,9 @@ func (b *Bound) rankedSearch(ctx context.Context, p Params, candG *graph.Graph, 
 		}
 		return cands[i].v < cands[j].v
 	})
-	heap, scored, err := scanRanked(ctx, cands, p.R, p.workers(),
-		func() func(v int32) int {
-			vs := NewVertexScorer(candG, m)
-			return func(v int32) int { return vs.Score(v, p.K) }
-		})
+	newScore, release := pool.scanWorkersOn(candG, func(vs *VertexScorer, v int32) int { return vs.Score(v, p.K) })
+	heap, scored, err := scanRanked(ctx, cands, p.R, p.workers(), newScore)
+	release()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,7 +177,9 @@ func (b *Bound) rankedSearch(ctx context.Context, p Params, candG *graph.Graph, 
 	// with the online answer size.
 	padAnswer(heap, b.g.N(), p.Candidates)
 	res, err := finishResult(ctx, heap.Answer(), p, func(v int32) [][]int32 {
-		return scorer.Contexts(v, p.K)
+		vs := pool.getOn(candG)
+		defer pool.Put(vs)
+		return vs.Contexts(v, p.K)
 	})
 	if err != nil {
 		return nil, nil, err

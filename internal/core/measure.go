@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"trussdiv/internal/graph"
 )
@@ -92,50 +91,17 @@ type DivScorer interface {
 }
 
 // NewMeasureScorer returns the shared, concurrency-safe scorer computing
-// measure m over g: the truss Scorer (Algorithm 2) or a pooled scratch
-// scorer byte-identical to the baseline Comp-Div / Core-Div models. Scan
-// loops that own their workers should hold a NewVertexScorer per worker
-// instead of sharing one of these.
+// measure m over g: the truss Scorer (Algorithm 2) or a ScorerPool
+// byte-identical to the baseline Comp-Div / Core-Div models. Both pool
+// VertexScorers, each holding an n-sized extraction table, so build one
+// per graph and keep it as long as the graph — never one per call or
+// per query. Scan loops that own their workers should lend scorers from
+// the pool (ScorerPool.ScanWorkers) instead of calling it per vertex.
 func NewMeasureScorer(g *graph.Graph, m Measure) DivScorer {
-	switch m := m.Normalize(); m {
-	case MeasureComponent:
-		p := &pooledScorer{name: "Comp-Div"}
-		p.pool.New = func() any { return NewVertexScorer(g, m) }
-		return p
-	case MeasureCore:
-		p := &pooledScorer{name: "Core-Div"}
-		p.pool.New = func() any { return NewVertexScorer(g, m) }
-		return p
-	default:
+	if m = m.Normalize(); m == MeasureTruss {
 		return NewScorer(g)
 	}
-}
-
-// pooledScorer adapts the single-worker VertexScorer to the shared
-// DivScorer contract by borrowing one per call from a sync.Pool. It keeps
-// the baseline model name so it still satisfies baseline.Model, which the
-// parity tests (and report labels) rely on.
-type pooledScorer struct {
-	name string
-	pool sync.Pool
-}
-
-// Name identifies the measure's model in reports, matching the
-// internal/baseline naming.
-func (p *pooledScorer) Name() string { return p.name }
-
-func (p *pooledScorer) Score(v int32, k int32) int {
-	vs := p.pool.Get().(*VertexScorer)
-	score := vs.Score(v, k)
-	p.pool.Put(vs)
-	return score
-}
-
-func (p *pooledScorer) Contexts(v int32, k int32) [][]int32 {
-	vs := p.pool.Get().(*VertexScorer)
-	out := vs.Contexts(v, k)
-	p.pool.Put(vs)
-	return out
+	return NewScorerPool(g, m)
 }
 
 // MeasureUpperBound bounds score(v) under measure m from two quantities
@@ -208,9 +174,17 @@ type Ranked struct {
 // NewRanked returns a rankings-backed searcher for measure m over g.
 // perK must come from BuildMeasureRankings(g, m) (or an index store that
 // persisted it): perK[k] sorted by score descending, vertex ascending,
-// zero scores omitted. The rankings are adopted, not copied.
+// zero scores omitted. The rankings are adopted, not copied. It builds
+// its own context scorer; serving paths that keep the measure's scorer
+// for the life of the graph hand it to NewRankedWith instead.
 func NewRanked(g *graph.Graph, m Measure, perK [][]VertexScore) *Ranked {
-	return &Ranked{g: g, m: m.Normalize(), scorer: NewMeasureScorer(g, m), perK: perK}
+	return NewRankedWith(NewMeasureScorer(g, m), g, m, perK)
+}
+
+// NewRankedWith is NewRanked recovering contexts through scorer, which
+// must compute measure m over g (NewMeasureScorer(g, m)).
+func NewRankedWith(scorer DivScorer, g *graph.Graph, m Measure, perK [][]VertexScore) *Ranked {
+	return &Ranked{g: g, m: m.Normalize(), scorer: scorer, perK: perK}
 }
 
 // Measure returns the measure the rankings were scored under.

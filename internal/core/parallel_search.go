@@ -172,20 +172,29 @@ type rankedCand struct {
 	ub int
 }
 
-// rankedChunkPerWorker sizes the chunks of the parallel ranked scan:
-// each round scores up to workers*rankedChunkPerWorker candidates before
+// rankedChunkPerWorker caps the rounds of the parallel ranked scan: no
+// round scores more than workers*rankedChunkPerWorker candidates before
 // re-checking the termination bound.
 const rankedChunkPerWorker = 32
+
+// nextRankedRound returns the size of the round after one of size prev:
+// double, capped at limit. The first round has size r — just enough to
+// fill the heap — so a scan the serial order would stop after a handful
+// of candidates stops as early in parallel, however many workers there
+// are; the doubling then reaches full-width rounds on long scans.
+func nextRankedRound(prev, limit int) int { return min(2*prev, limit) }
 
 // scanRanked consumes candidates sorted by descending upper bound,
 // stopping as soon as no remaining bound can reach the heap minimum
 // (candidates whose bound equals the minimum are still scored — they can
 // displace an equal-score entry with a larger vertex ID, and skipping
 // them would break the canonical tie order). With workers > 1 the scan
-// proceeds in chunks scored concurrently; the chunk tail below the
-// current minimum is trimmed, so at most one chunk of extra score
-// computations happens relative to the serial scan — the answer itself is
-// identical because those extras cannot enter the heap.
+// proceeds in rounds scored concurrently (sizes r, 2r, 4r, ... capped at
+// workers*rankedChunkPerWorker); the round tail below the current
+// minimum is trimmed, so the parallel scan scores at most the serial
+// count plus the size of the round in which the serial scan stopped —
+// the answer itself is identical because those extras cannot enter the
+// heap.
 func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScore func() func(v int32) int) (*topRHeap, int, error) {
 	if workers <= 1 {
 		heap := newTopRHeap(r)
@@ -205,18 +214,18 @@ func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScor
 	}
 	heap := newTopRHeap(r)
 	scored := 0
-	chunk := workers * rankedChunkPerWorker
-	// One scorer per worker, reused across every chunk (scratch state like
+	maxRound := workers * rankedChunkPerWorker
+	// One scorer per worker, reused across every round (scratch state like
 	// the TSD visit marks is built once, not once per round).
 	scorers := make([]func(v int32) int, workers)
 	for i := range scorers {
 		scorers[i] = newScore()
 	}
-	for lo := 0; lo < len(cands); lo += chunk {
+	for lo, round := 0, max(1, min(r, maxRound)); lo < len(cands); lo, round = lo+round, nextRankedRound(round, maxRound) {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		hi := min(lo+chunk, len(cands))
+		hi := min(lo+round, len(cands))
 		part := cands[lo:hi]
 		if heap.Full() {
 			m := heap.MinScore()

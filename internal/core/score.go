@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"trussdiv/internal/ego"
 	"trussdiv/internal/graph"
 )
@@ -13,20 +11,20 @@ import (
 // components that remain.
 //
 // A Scorer is safe for concurrent use: calls borrow a per-worker
-// VertexScorer from an internal pool, so steady-state scoring stays
-// allocation-free without giving up the shared-scorer contract. Scan
-// loops that own their workers should hold a VertexScorer directly and
-// skip the pool round-trip.
+// VertexScorer from a ScorerPool, so steady-state scoring stays
+// allocation-free without giving up the shared-scorer contract. The
+// pooled scorers hold n-sized extraction tables, so keep one Scorer per
+// graph rather than building one per call. Scan loops that own their
+// workers should lend scorers from a ScorerPool instead
+// (ScorerPool.ScanWorkers).
 type Scorer struct {
 	g    *graph.Graph
-	pool sync.Pool // of *VertexScorer with the truss measure
+	pool *ScorerPool // truss measure
 }
 
 // NewScorer returns a Scorer over g.
 func NewScorer(g *graph.Graph) *Scorer {
-	s := &Scorer{g: g}
-	s.pool.New = func() any { return NewVertexScorer(g, MeasureTruss) }
-	return s
+	return &Scorer{g: g, pool: NewScorerPool(g, MeasureTruss)}
 }
 
 // Graph returns the underlying graph.
@@ -35,25 +33,19 @@ func (s *Scorer) Graph() *graph.Graph { return s.g }
 // Score returns score(v) w.r.t. trussness threshold k (paper Def. 3).
 // k must be >= 2.
 func (s *Scorer) Score(v int32, k int32) int {
-	vs := s.pool.Get().(*VertexScorer)
-	score := vs.Score(v, k)
-	s.pool.Put(vs)
-	return score
+	return s.pool.Score(v, k)
 }
 
 // Contexts returns the social contexts SC(v): the vertex sets (global IDs,
 // each sorted) of the maximal connected k-trusses of v's ego-network
 // (paper Def. 2).
 func (s *Scorer) Contexts(v int32, k int32) [][]int32 {
-	vs := s.pool.Get().(*VertexScorer)
-	out := vs.Contexts(v, k)
-	s.pool.Put(vs)
-	return out
+	return s.pool.Contexts(v, k)
 }
 
 // ScoreAndContexts computes both in one ego decomposition.
 func (s *Scorer) ScoreAndContexts(v int32, k int32) (int, [][]int32) {
-	vs := s.pool.Get().(*VertexScorer)
+	vs := s.pool.Get()
 	defer s.pool.Put(vs)
 	net := ego.ExtractOneInto(&vs.ego, s.g, v)
 	if net.G.M() == 0 {
@@ -69,7 +61,7 @@ func (s *Scorer) ScoreAndContexts(v int32, k int32) (int, [][]int32) {
 // quantity τ_{G_N(v)}(a,b) from the paper's non-symmetry discussion
 // (Observation 1) for analysis and tests.
 func (s *Scorer) EgoTrussness(v, a, b int32) int32 {
-	vs := s.pool.Get().(*VertexScorer)
+	vs := s.pool.Get()
 	defer s.pool.Put(vs)
 	net := ego.ExtractOneInto(&vs.ego, s.g, v)
 	la, lb := net.Local(a), net.Local(b)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"trussdiv/internal/ego"
 	"trussdiv/internal/graph"
 	"trussdiv/internal/kcore"
@@ -15,9 +17,11 @@ import (
 // allocation suites pin both.
 //
 // A VertexScorer is NOT safe for concurrent use: each scan worker owns
-// exactly one (see DESIGN.md "Scratch ownership contract"). For a
-// shared, concurrency-safe scorer use NewMeasureScorer, which pools
-// VertexScorers per call.
+// exactly one (see DESIGN.md "Scratch ownership contract"). Its
+// extraction scratch holds an n-sized lookup table, so a VertexScorer
+// should live as long as its graph: serving paths borrow them from a
+// ScorerPool owned by a searcher or engine instead of building one per
+// call.
 type VertexScorer struct {
 	g *graph.Graph
 	m Measure
@@ -33,6 +37,130 @@ type VertexScorer struct {
 // over g.
 func NewVertexScorer(g *graph.Graph, m Measure) *VertexScorer {
 	return &VertexScorer{g: g, m: m.Normalize()}
+}
+
+// ScorerPool recycles the VertexScorers of one (graph, measure) pair. It
+// is the concurrency-safe DivScorer of the component and core measures
+// (NewMeasureScorer) and the per-measure scorer store of the Online and
+// Bound searchers: scan workers borrow one VertexScorer each for the
+// length of a scan (ScanWorkers) and context recovery borrows per call.
+// A pool lives as long as the searcher or engine that created it with
+// its graph; idle scorers are released to the garbage collector by the
+// underlying sync.Pool.
+type ScorerPool struct {
+	g    *graph.Graph
+	m    Measure
+	pool sync.Pool
+}
+
+// NewScorerPool returns an empty pool of measure-m scorers over g.
+func NewScorerPool(g *graph.Graph, m Measure) *ScorerPool {
+	p := &ScorerPool{g: g, m: m.Normalize()}
+	p.pool.New = func() any { return NewVertexScorer(g, p.m) }
+	return p
+}
+
+// Get borrows a VertexScorer; return it with Put.
+func (p *ScorerPool) Get() *VertexScorer { return p.pool.Get().(*VertexScorer) }
+
+// Put returns a VertexScorer borrowed with Get.
+func (p *ScorerPool) Put(vs *VertexScorer) {
+	vs.g = p.g // undo a rebind (getOn)
+	p.pool.Put(vs)
+}
+
+// getOn borrows a VertexScorer that scores over g instead of the pool's
+// graph. g must have the pool graph's vertex set (the Bound engine's
+// sparsified copy); Put rebinds the scorer to the pool's graph.
+func (p *ScorerPool) getOn(g *graph.Graph) *VertexScorer {
+	vs := p.Get()
+	vs.g = g
+	return vs
+}
+
+// Graph returns the graph the pool's scorers score over.
+func (p *ScorerPool) Graph() *graph.Graph { return p.g }
+
+// Measure returns the measure the pool's scorers compute.
+func (p *ScorerPool) Measure() Measure { return p.m }
+
+// Name identifies the measure's model in reports, matching the
+// internal/baseline naming, so a pool also satisfies baseline.Model.
+func (p *ScorerPool) Name() string {
+	switch p.m {
+	case MeasureComponent:
+		return "Comp-Div"
+	case MeasureCore:
+		return "Core-Div"
+	}
+	return "Truss-Div"
+}
+
+// Score returns score(v) w.r.t. k on a borrowed VertexScorer.
+func (p *ScorerPool) Score(v int32, k int32) int {
+	vs := p.Get()
+	score := vs.Score(v, k)
+	p.Put(vs)
+	return score
+}
+
+// Contexts returns the contexts of v w.r.t. k on a borrowed VertexScorer.
+func (p *ScorerPool) Contexts(v int32, k int32) [][]int32 {
+	vs := p.Get()
+	out := vs.Contexts(v, k)
+	p.Put(vs)
+	return out
+}
+
+// ScanWorkers lends one VertexScorer per scan worker: newScore (the
+// per-worker factory ScanCanonical takes) borrows a scorer and wraps it
+// in score; release returns every borrowed scorer and must be called
+// once the scan has ended.
+func (p *ScorerPool) ScanWorkers(score func(vs *VertexScorer, v int32) int) (newScore func() func(v int32) int, release func()) {
+	return p.scanWorkersOn(p.g, score)
+}
+
+// scanWorkersOn is ScanWorkers with the scorers rebound to g (see getOn).
+// The scan calls newScore from one goroutine, before its workers start.
+func (p *ScorerPool) scanWorkersOn(g *graph.Graph, score func(vs *VertexScorer, v int32) int) (newScore func() func(v int32) int, release func()) {
+	var lent []*VertexScorer
+	newScore = func() func(v int32) int {
+		vs := p.getOn(g)
+		lent = append(lent, vs)
+		return func(v int32) int { return score(vs, v) }
+	}
+	release = func() {
+		for _, vs := range lent {
+			p.Put(vs)
+		}
+		lent = nil
+	}
+	return newScore, release
+}
+
+// MeasurePools holds one ScorerPool per measure over one graph, indexed
+// in AllMeasures order: the scorer store of a searcher or engine that
+// serves every measure.
+type MeasurePools [3]*ScorerPool
+
+// NewMeasurePools returns one empty pool per measure over g.
+func NewMeasurePools(g *graph.Graph) MeasurePools {
+	var ps MeasurePools
+	for i, m := range AllMeasures() {
+		ps[i] = NewScorerPool(g, m)
+	}
+	return ps
+}
+
+// Of returns the pool of measure m ("" = truss).
+func (ps *MeasurePools) Of(m Measure) *ScorerPool {
+	switch m.Normalize() {
+	case MeasureComponent:
+		return ps[1]
+	case MeasureCore:
+		return ps[2]
+	}
+	return ps[0]
 }
 
 // Graph returns the underlying graph.

@@ -3,18 +3,27 @@
 //
 // Two strategies are provided, mirroring the paper's two pipelines:
 //
-//   - ExtractOne performs local triangle listing around a single vertex
-//     (the path used by the online algorithms and TSD-index construction,
-//     §3.2/§5.1). Each triangle through v is touched while building one
-//     ego-network.
+//   - Local triangle listing around a single vertex (the path used by the
+//     online algorithms and TSD-index construction, §3.2/§5.1). Each
+//     triangle through v is touched while building one ego-network.
+//     ExtractOneInto is the serving kernel: it marks N(v) in an n-sized
+//     lookup table held by the Scratch, then for each neighbor u scans
+//     only the part of N(u) in (u, max N(v)] and looks every entry up in
+//     the table — O(d(v) + Σ_u |N(u) ∩ (u, max N(v)]|) per vertex, with
+//     no pass over N(v) per neighbor. ExtractOne is the one-shot
+//     reference: a sorted-list merge of N(u) with N(v) per neighbor, which
+//     allocates only O(d(v) + m_v) and is what the parity tests, the
+//     baseline models and the paper experiments use.
 //   - ExtractAll performs one-shot global triangle listing and distributes
 //     each triangle to the three ego-networks it belongs to (the GCT
 //     pipeline, §6.2). Each triangle is enumerated once instead of being
 //     rediscovered by every endpoint, which the paper credits for roughly
-//     halving extraction work.
+//     halving extraction work. All.NetworkInto maps the collected edges
+//     to local IDs through the same lookup table.
 package ego
 
 import (
+	"slices"
 	"sort"
 
 	"trussdiv/internal/graph"
@@ -64,21 +73,94 @@ func (n *Network) GlobalSets(local [][]int32) [][]int32 {
 
 // Scratch owns the reusable storage one worker needs to extract
 // ego-networks without allocating in steady state: the builder's edge
-// slab, the local graph's CSR slabs, and the Network header itself. The
-// zero value is ready to use. A Scratch is not safe for concurrent use —
-// each worker owns exactly one — and the Network returned by
-// ExtractOneInto or All.NetworkInto (plus everything reachable from it)
-// is a view over the Scratch, valid only until the next extraction into
-// the same Scratch. See DESIGN.md "Scratch ownership contract".
+// slab, the local graph's CSR slabs, the Network header, and the
+// global->local lookup table (one int32 per vertex of the largest graph
+// extracted from, 4n bytes). The zero value is ready to use. A Scratch is
+// not safe for concurrent use — each worker owns exactly one — and the
+// Network returned by ExtractOneInto or All.NetworkInto (plus everything
+// reachable from it) is a view over the Scratch, valid only until the
+// next extraction into the same Scratch. Because of the table, a Scratch
+// belongs with a long-lived owner (a worker of a scan or build, or a pool
+// that lives as long as the graph), never with a single call. See
+// DESIGN.md "Scratch ownership contract".
 type Scratch struct {
 	b   graph.Builder
 	csr graph.Scratch
 	net Network
+	// local[w] is 1 + the local ID of w while an ego-network containing
+	// w is being built, 0 otherwise. Every extraction clears the slots it set, so
+	// the table stays all-zero between calls and can be reused across
+	// graphs of any size (it only grows).
+	local []int32
 }
 
-// ExtractOneInto is ExtractOne into recycled storage: the returned
+// markNeighbors sets local[w] = j+1 for each verts[j] and returns the
+// table, grown to n entries if needed. unmark must follow.
+func (s *Scratch) markNeighbors(n int, verts []int32) []int32 {
+	if len(s.local) < n {
+		s.local = make([]int32, n)
+	}
+	for j, w := range verts {
+		s.local[w] = int32(j + 1)
+	}
+	return s.local
+}
+
+// unmark restores the table slots markNeighbors set to zero.
+func (s *Scratch) unmark(verts []int32) {
+	for _, w := range verts {
+		s.local[w] = 0
+	}
+}
+
+// finish builds the local graph into the CSR slabs and fills the header.
+func (s *Scratch) finish(v int32, verts []int32) *Network {
+	s.net.Center = v
+	s.net.Verts = verts
+	s.net.G = s.b.BuildInto(&s.csr)
+	return &s.net
+}
+
+// ExtractOneInto builds the ego-network of v by local triangle listing
+// into recycled storage: the edge (u,w) is added for every neighbor u of
+// v and every w in N(u) ∩ N(v) with w > u. Membership is a lookup in the
+// Scratch's table, and N(u) is scanned only over (u, max N(v)], found by
+// binary search. The result is identical to ExtractOne's; the returned
 // Network aliases s and is invalidated by the next extraction into s.
 func ExtractOneInto(s *Scratch, g *graph.Graph, v int32) *Network {
+	verts := g.Neighbors(v)
+	s.b.Reset(len(verts))
+	if len(verts) > 1 {
+		local := s.markNeighbors(g.N(), verts)
+		hi := verts[len(verts)-1]
+		// The largest neighbor has no ego edge to a larger one.
+		for lu, u := range verts[:len(verts)-1] {
+			nu := g.Neighbors(u)
+			i, _ := slices.BinarySearch(nu, u+1)
+			for _, w := range nu[i:] {
+				if w > hi {
+					break
+				}
+				if j := local[w]; j != 0 {
+					s.b.AddEdge(int32(lu), j-1)
+				}
+			}
+		}
+		s.unmark(verts)
+	}
+	return s.finish(v, verts)
+}
+
+// ExtractOne builds the ego-network of v by local triangle listing: for
+// every neighbor u of v, the edge (u,w) is added for each w in
+// N(u) ∩ N(v) with w > u, via a merge of the sorted adjacency lists. It
+// is the reference implementation — the parity tests pin ExtractOneInto
+// to it — and the one-shot path: it allocates only what the returned
+// Network holds, never an n-sized table, so the result is never
+// invalidated. Loops over many vertices should reuse one Scratch via
+// ExtractOneInto instead.
+func ExtractOne(g *graph.Graph, v int32) *Network {
+	s := new(Scratch)
 	verts := g.Neighbors(v)
 	s.b.Reset(len(verts))
 	for lu, u := range verts {
@@ -100,20 +182,7 @@ func ExtractOneInto(s *Scratch, g *graph.Graph, v int32) *Network {
 			}
 		}
 	}
-	s.net.Center = v
-	s.net.Verts = verts
-	s.net.G = s.b.BuildInto(&s.csr)
-	return &s.net
-}
-
-// ExtractOne builds the ego-network of v by local triangle listing: for
-// every neighbor u of v, the edge (u,w) is added for each w in
-// N(u) ∩ N(v) with w > u, via a merge of the sorted adjacency lists.
-// It extracts into a private one-shot Scratch, so the result is never
-// invalidated; loops over many vertices should reuse one Scratch via
-// ExtractOneInto instead.
-func ExtractOne(g *graph.Graph, v int32) *Network {
-	return ExtractOneInto(new(Scratch), g, v)
+	return s.finish(v, verts)
 }
 
 // All holds the materialized ego-network edge lists of every vertex,
@@ -158,27 +227,35 @@ func ExtractAll(g *graph.Graph) *All {
 // the number of triangles through v).
 func (a *All) EdgeCount(v int32) int { return int(a.off[v+1] - a.off[v]) }
 
-// Network materializes the ego-network of v from the precollected edges.
-// Like ExtractOne it uses a private one-shot Scratch, so the result is
-// never invalidated.
+// Network materializes the ego-network of v from the precollected edges,
+// mapping endpoints to local IDs by binary search over N(v). Like
+// ExtractOne it is a one-shot path that never allocates an n-sized
+// table, so the result is never invalidated.
 func (a *All) Network(v int32) *Network {
-	return a.NetworkInto(new(Scratch), v)
+	s := new(Scratch)
+	verts := a.g.Neighbors(v)
+	s.b.Reset(len(verts))
+	for _, e := range a.edges[a.off[v]:a.off[v+1]] {
+		lu, _ := slices.BinarySearch(verts, e.U) // membership is guaranteed
+		lw, _ := slices.BinarySearch(verts, e.V)
+		s.b.AddEdge(int32(lu), int32(lw))
+	}
+	return s.finish(v, verts)
 }
 
-// NetworkInto is Network into recycled storage: the returned Network
+// NetworkInto is Network into recycled storage, mapping endpoints to
+// local IDs through the Scratch's lookup table: the returned Network
 // aliases s and is invalidated by the next extraction into s.
 func (a *All) NetworkInto(s *Scratch, v int32) *Network {
 	verts := a.g.Neighbors(v)
 	s.b.Reset(len(verts))
-	lookup := func(global int32) int32 {
-		i := sort.Search(len(verts), func(i int) bool { return verts[i] >= global })
-		return int32(i) // caller guarantees membership
+	edges := a.edges[a.off[v]:a.off[v+1]]
+	if len(edges) > 0 {
+		local := s.markNeighbors(a.g.N(), verts)
+		for _, e := range edges {
+			s.b.AddEdge(local[e.U]-1, local[e.V]-1)
+		}
+		s.unmark(verts)
 	}
-	for _, e := range a.edges[a.off[v]:a.off[v+1]] {
-		s.b.AddEdge(lookup(e.U), lookup(e.V))
-	}
-	s.net.Center = v
-	s.net.Verts = verts
-	s.net.G = s.b.BuildInto(&s.csr)
-	return &s.net
+	return s.finish(v, verts)
 }

@@ -1,6 +1,7 @@
 package ego
 
 import (
+	"slices"
 	"testing"
 
 	"trussdiv/internal/gen"
@@ -239,5 +240,87 @@ func TestExtractOneIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ExtractOneInto allocates %.1f objects per call in steady state, want 0", allocs)
+	}
+}
+
+// overlayGraph is a hub-heavy community overlay (power-law backbone plus
+// planted cliques anchored on hubs), the shape of the bench datasets.
+func overlayGraph(tb testing.TB, n int, def int64) *graph.Graph {
+	return gen.CommunityOverlay(gen.OverlayConfig{
+		N: n, Attach: 4, Cliques: n / 8, MinSize: 4, MaxSize: 14,
+		Window: 250, AnchorBias: 0.5, Diffuse: n / 50,
+		Seed: testutil.Seed(tb, def),
+	})
+}
+
+// BenchmarkExtractOneInto times one full extraction pass (every vertex)
+// over a 25k-vertex overlay graph through one reused Scratch.
+func BenchmarkExtractOneInto(b *testing.B) {
+	g := overlayGraph(b, 25000, 1)
+	var s Scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := int32(0); int(v) < g.N(); v++ {
+			ExtractOneInto(&s, g, v)
+		}
+	}
+}
+
+// sameNetwork fails unless got and want are byte-identical: same center,
+// same local->global map, and the same CSR (edge list, adjacency and
+// edge IDs of every local vertex).
+func sameNetwork(t *testing.T, got, want *Network, label string) {
+	t.Helper()
+	if got.Center != want.Center || !slices.Equal(got.Verts, want.Verts) {
+		t.Fatalf("%s v %d: header mismatch", label, want.Center)
+	}
+	if got.G.N() != want.G.N() || !slices.Equal(got.G.Edges(), want.G.Edges()) {
+		t.Fatalf("%s v %d: edge lists differ", label, want.Center)
+	}
+	for lv := int32(0); int(lv) < want.G.N(); lv++ {
+		ga, ge := got.G.Arcs(lv)
+		wa, we := want.G.Arcs(lv)
+		if !slices.Equal(ga, wa) || !slices.Equal(ge, we) {
+			t.Fatalf("%s v %d: arcs of local %d differ", label, want.Center, lv)
+		}
+	}
+}
+
+// TestTableKernelsMatchReferenceOnHubGraph pins the lookup-table kernels
+// (ExtractOneInto, All.NetworkInto) to the merge reference (ExtractOne)
+// and to Def. 1 literally (InducedSubgraph) on every vertex of a
+// hub-heavy overlay graph, whose hubs have ego-networks hundreds of
+// vertices wide.
+func TestTableKernelsMatchReferenceOnHubGraph(t *testing.T) {
+	g := overlayGraph(t, 3000, 7)
+	all := ExtractAll(g)
+	var one, batch Scratch
+	for v := int32(0); int(v) < g.N(); v++ {
+		want := ExtractOne(g, v)
+		sameNetwork(t, ExtractOneInto(&one, g, v), want, "ExtractOneInto")
+		sameNetwork(t, all.NetworkInto(&batch, v), want, "NetworkInto")
+		induced, l2g := egoViaInduced(g, v)
+		if !slices.Equal(l2g, want.Verts) || !slices.Equal(induced.Edges(), want.G.Edges()) {
+			t.Fatalf("v %d: ExtractOne diverges from InducedSubgraph", v)
+		}
+	}
+}
+
+// TestScratchReusedAcrossGraphSizes moves one Scratch between graphs of
+// different vertex counts — large, then small, then large again — and
+// checks every extraction against the reference: the lookup table must
+// come back clean from each call and must not be undersized after a
+// smaller graph.
+func TestScratchReusedAcrossGraphSizes(t *testing.T) {
+	large := overlayGraph(t, 2000, 21)
+	small := overlayGraph(t, 300, 22)
+	var s Scratch
+	for _, g := range []*graph.Graph{large, small, large} {
+		all := ExtractAll(g)
+		for v := int32(0); int(v) < g.N(); v++ {
+			want := ExtractOne(g, v)
+			sameNetwork(t, ExtractOneInto(&s, g, v), want, "ExtractOneInto")
+			sameNetwork(t, all.NetworkInto(&s, v), want, "NetworkInto")
+		}
 	}
 }

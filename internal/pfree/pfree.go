@@ -31,7 +31,9 @@
 // reads a precomputed pfree ranking (derived in O(table) from the per-k
 // rankings the hybrid/baseline engines already build, or loaded from the
 // store's pfree slab), and an online fallback that scores one ego
-// network at a time through core.ScoresAllK for cold or small graphs.
+// network at a time (core.VertexScorer.ScoresAllK) for cold or small
+// graphs. Both, and the point queries, borrow their scorers from a
+// core.ScorerPool that the caller keeps for the life of the graph.
 package pfree
 
 import (
@@ -42,9 +44,9 @@ import (
 )
 
 // Score aggregates one vertex's per-k score vector (as returned by
-// core.ScoresAllK: indexed by k, entries 0 and 1 unused, nil when the
-// vertex has no contexts at any level) into its parameter-free
-// diversity score. Per level: k == 2 witnesses h = min(s, 2); a level
+// core.VertexScorer.ScoresAllK: indexed by k, entries 0 and 1 unused,
+// nil when the vertex has no contexts at any level) into its
+// parameter-free diversity score. Per level: k == 2 witnesses h = min(s, 2); a level
 // k >= 3 witnesses h = k iff s >= k. The score is the maximum witnessed
 // h over all levels, 0 when none qualifies.
 func Score(allK []int) int {
@@ -85,21 +87,39 @@ func Level(allK []int) int32 {
 	return int32(h)
 }
 
-// ScoreAt computes the parameter-free score of one vertex online: one
-// ego-network extraction and one all-k decomposition under measure m.
-func ScoreAt(g *graph.Graph, v int32, m core.Measure) int {
-	return Score(core.ScoresAllK(g, v, m))
+// ScoreWith computes the parameter-free score of one vertex online on a
+// scorer borrowed from pool: one ego-network extraction and one all-k
+// decomposition under the pool's measure. This is the serving path;
+// pool should live as long as its graph.
+func ScoreWith(pool *core.ScorerPool, v int32) int {
+	vs := pool.Get()
+	defer pool.Put(vs)
+	return Score(vs.ScoresAllK(v))
 }
 
-// ContextsAt recovers the pfree contexts of one vertex online: the
-// measure's contexts at the discriminating level. Nil when the score
-// is 0.
-func ContextsAt(g *graph.Graph, v int32, m core.Measure) [][]int32 {
-	lvl := Level(core.ScoresAllK(g, v, m))
+// ContextsWith recovers the pfree contexts of one vertex online on a
+// scorer borrowed from pool: the measure's contexts at the
+// discriminating level. Nil when the score is 0.
+func ContextsWith(pool *core.ScorerPool, v int32) [][]int32 {
+	vs := pool.Get()
+	defer pool.Put(vs)
+	lvl := Level(vs.ScoresAllK(v))
 	if lvl == 0 {
 		return nil
 	}
-	return core.NewMeasureScorer(g, m).Contexts(v, lvl)
+	return vs.Contexts(v, lvl)
+}
+
+// ScoreAt is the one-shot ScoreWith for an oracle or a single call: it
+// builds a scorer (and its n-sized extraction table) for this call only,
+// so serving paths use ScoreWith on a long-lived pool instead.
+func ScoreAt(g *graph.Graph, v int32, m core.Measure) int {
+	return ScoreWith(core.NewScorerPool(g, m), v)
+}
+
+// ContextsAt is the one-shot ContextsWith; see ScoreAt.
+func ContextsAt(g *graph.Graph, v int32, m core.Measure) [][]int32 {
+	return ContextsWith(core.NewScorerPool(g, m), v)
 }
 
 // BuildRanking scores every vertex online and returns the canonical
@@ -183,29 +203,23 @@ func PatchRanking(g *graph.Graph, m core.Measure, old []core.VertexScore, affect
 type Searcher struct {
 	g      *graph.Graph
 	m      core.Measure
-	scorer core.DivScorer
+	pool   *core.ScorerPool
 	ranked []core.VertexScore
 }
 
-// NewSearcher builds a Searcher for measure m. ranked, when non-nil, is
-// a prepared canonical pfree ranking (BuildRanking / RankingFromPerK /
-// a store slab) enabling the O(r) fast path; nil selects the online
-// fallback.
-func NewSearcher(g *graph.Graph, m core.Measure, ranked []core.VertexScore) *Searcher {
-	m = m.Normalize()
-	return &Searcher{g: g, m: m, scorer: core.NewMeasureScorer(g, m), ranked: ranked}
+// NewSearcher builds a Searcher over the graph and measure of pool, which
+// supplies every scorer the search borrows (the scan workers and context
+// recovery). ranked, when non-nil, is a prepared canonical pfree ranking
+// (BuildRanking / RankingFromPerK / a store slab) enabling the O(r) fast
+// path; nil selects the online fallback.
+func NewSearcher(pool *core.ScorerPool, ranked []core.VertexScore) *Searcher {
+	return &Searcher{g: pool.Graph(), m: pool.Measure(), pool: pool, ranked: ranked}
 }
 
 // Contexts recovers the pfree contexts of one answer vertex (the
 // measure's contexts at the discriminating level); nil for zero-score
 // vertices. Safe for concurrent calls.
-func (s *Searcher) Contexts(v int32) [][]int32 {
-	lvl := Level(core.ScoresAllK(s.g, v, s.m))
-	if lvl == 0 {
-		return nil
-	}
-	return s.scorer.Contexts(v, lvl)
-}
+func (s *Searcher) Contexts(v int32) [][]int32 { return ContextsWith(s.pool, v) }
 
 // Search answers the parameter-free top-r query. p.K is ignored — the
 // objective has no threshold; validation of the remaining parameters is
@@ -232,10 +246,11 @@ func (s *Searcher) Search(ctx context.Context, p core.Params) (*core.Result, *co
 		}
 	} else {
 		var scored int
-		answer, scored, err = core.ScanCanonical(ctx, s.g.N(), p, func() func(v int32) int {
-			vs := core.NewVertexScorer(s.g, s.m) // one scratch per worker
-			return func(v int32) int { return Score(vs.ScoresAllK(v)) }
+		newScore, release := s.pool.ScanWorkers(func(vs *core.VertexScorer, v int32) int {
+			return Score(vs.ScoresAllK(v))
 		})
+		answer, scored, err = core.ScanCanonical(ctx, s.g.N(), p, newScore)
+		release()
 		if err != nil {
 			return nil, nil, err
 		}

@@ -70,6 +70,9 @@ type Snapshot struct {
 	cache  *indexCache
 	reg    *registry
 	forced string
+	// pfree is the registered pfree engine; its per-measure scorer pools
+	// also serve the parameter-free point queries (ScorePFree).
+	pfree *pfreeEngine
 	// applied records the incremental-repair work of the update batch that
 	// produced this snapshot (nil for the Open snapshot and for snapshots
 	// whose caches held nothing repairable).
@@ -92,6 +95,7 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snap
 		forced: forced,
 	}
 	cache.setEpoch(epoch)
+	s.pfree = &pfreeEngine{g: g, w: s.w, cache: cache, pools: core.NewMeasurePools(g)}
 	for _, reg := range []struct {
 		engine   Engine
 		routable bool
@@ -104,15 +108,13 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snap
 		// The native measure engines are routable for their own measure
 		// only (they declare it via MeasureLister), so truss queries never
 		// see them — same reachability as when they were non-routable.
-		{&baselineEngine{name: "comp", measure: MeasureComponent,
-			model: NewCompDiv(g), g: g, w: s.w, cache: cache}, true},
-		{&baselineEngine{name: "kcore", measure: MeasureCore,
-			model: NewCoreDiv(g), g: g, w: s.w, cache: cache}, true},
+		{newMeasureEngine("comp", MeasureComponent, g, s.w, cache), true},
+		{newMeasureEngine("kcore", MeasureCore, g, s.w, cache), true},
 		// The parameter-free engine serves every measure but only the
 		// k-less queries (K == 0), which in turn route only to it — the
 		// K axis partitions the routing matrix, so the fixed-k engines'
 		// reachability is unchanged.
-		{&pfreeEngine{g: g, w: s.w, cache: cache}, true},
+		{s.pfree, true},
 	} {
 		if err := s.reg.add(reg.engine, reg.routable); err != nil {
 			return nil, err
