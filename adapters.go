@@ -795,14 +795,16 @@ func (c *indexCache) storeMmap() bool {
 
 // --- online (Algorithm 3) ---
 
+// onlineEngine and every other built-in engine of a snapshot borrow
+// their scorers from the snapshot's one MeasurePools.
 type onlineEngine struct {
-	eng    *core.Online
-	scorer *core.Scorer
-	w      workload
+	eng   *core.Online
+	truss *core.ScorerPool // point queries
+	w     workload
 }
 
-func newOnlineEngine(g *Graph, w workload) *onlineEngine {
-	return &onlineEngine{eng: core.NewOnline(g), scorer: core.NewScorer(g), w: w}
+func newOnlineEngine(pools core.MeasurePools, w workload) *onlineEngine {
+	return &onlineEngine{eng: core.NewOnlineWith(pools), truss: pools.Of(MeasureTruss), w: w}
 }
 
 func (e *onlineEngine) Name() string { return "online" }
@@ -816,17 +818,17 @@ func (e *onlineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, erro
 }
 
 func (e *onlineEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.scorer.Graph(), v, k); err != nil {
+	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
 		return 0, err
 	}
-	return e.scorer.Score(v, k), nil
+	return e.truss.Score(v, k), nil
 }
 
 func (e *onlineEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.scorer.Graph(), v, k); err != nil {
+	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
 		return nil, err
 	}
-	return e.scorer.Contexts(v, k), nil
+	return e.truss.Contexts(v, k), nil
 }
 
 func (e *onlineEngine) Cost(q Query) Estimate {
@@ -836,21 +838,21 @@ func (e *onlineEngine) Cost(q Query) Estimate {
 // --- bound (Algorithm 4) ---
 
 type boundEngine struct {
-	eng    *core.Bound
-	scorer *core.Scorer
-	cache  *indexCache
-	w      workload
+	eng   *core.Bound
+	truss *core.ScorerPool // point queries
+	cache *indexCache
+	w     workload
 }
 
-func newBoundEngine(g *Graph, w workload, cache *indexCache) *boundEngine {
+func newBoundEngine(pools core.MeasurePools, w workload, cache *indexCache) *boundEngine {
 	// The searcher reads the global truss decomposition through the DB
 	// cache, so the per-query sparsification cost is one edge filter once
 	// the decomposition is cached (or loaded from the index store).
 	return &boundEngine{
-		eng:    core.NewBoundWithTau(g, cache.trussTau),
-		scorer: core.NewScorer(g),
-		cache:  cache,
-		w:      w,
+		eng:   core.NewBoundWithTau(pools, cache.trussTau),
+		truss: pools.Of(MeasureTruss),
+		cache: cache,
+		w:     w,
 	}
 }
 
@@ -868,14 +870,14 @@ func (e *boundEngine) Score(ctx context.Context, v, k int32) (int, error) {
 	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
 		return 0, err
 	}
-	return e.scorer.Score(v, k), nil
+	return e.truss.Score(v, k), nil
 }
 
 func (e *boundEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
 	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
 		return nil, err
 	}
-	return e.scorer.Contexts(v, k), nil
+	return e.truss.Contexts(v, k), nil
 }
 
 func (e *boundEngine) Cost(q Query) Estimate {
@@ -1082,20 +1084,19 @@ func (e *hybridEngine) Cost(q Query) Estimate {
 // per-k rankings are prepared (Prepare("comp"/"kcore"), a Batch that
 // routes to it, or a v2 index store holding the measure's section), a
 // top-r query is an O(r) prefix read instead of a full ego-network scan.
-// Every score and context it computes goes through one pooled measure
-// scorer that lives as long as the snapshot (byte-identical to the
-// baseline Comp-Div / Core-Div models, which core/measure_test.go pins).
+// Cold, it runs the snapshot's online scan under its measure. Scores and
+// contexts come from the measure's pool in the snapshot's MeasurePools.
 type measureEngine struct {
 	name    string
 	measure Measure
-	scorer  core.DivScorer
-	g       *Graph
+	pool    *core.ScorerPool
+	online  *core.Online
 	w       workload
 	cache   *indexCache
 }
 
-func newMeasureEngine(name string, m Measure, g *Graph, w workload, cache *indexCache) *measureEngine {
-	return &measureEngine{name: name, measure: m, scorer: core.NewMeasureScorer(g, m), g: g, w: w, cache: cache}
+func newMeasureEngine(name string, m Measure, pools core.MeasurePools, online *core.Online, w workload, cache *indexCache) *measureEngine {
+	return &measureEngine{name: name, measure: m, pool: pools.Of(m), online: online, w: w, cache: cache}
 }
 
 func (e *measureEngine) Name() string { return e.name }
@@ -1110,77 +1111,30 @@ func (e *measureEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, err
 	if m := q.Measure.Normalize(); q.Measure != "" && m != e.measure {
 		return nil, nil, &UnsupportedMeasureError{Engine: e.name, Measure: m}
 	}
+	p := q.params()
+	p.Measure = e.measure
 	// Rankings fast path: serve from the prepared (or store-loaded) per-k
 	// ranking, the same strategy the hybrid engine uses for truss. The
-	// answer is byte-identical to the scan below — same scores, same
+	// answer is byte-identical to the online scan — same scores, same
 	// canonical order, same contexts — only cheaper.
 	if perK := e.cache.measureRankings(e.measure, false); perK != nil {
-		p := q.params()
-		p.Measure = e.measure
-		return core.NewRankedWith(e.scorer, e.g, e.measure, perK).Search(ctx, p)
+		return core.NewRanked(e.pool, perK).Search(ctx, p)
 	}
-	n := e.g.N()
-	// Same preconditions as the truss engines (core.Params.normalized),
-	// applied identically with and without a candidate subset.
-	if q.K < 2 {
-		return nil, nil, fmt.Errorf("trussdiv: k = %d, must be >= 2", q.K)
-	}
-	if q.R < 1 {
-		return nil, nil, fmt.Errorf("trussdiv: r = %d, must be >= 1", q.R)
-	}
-	count, at := n, func(i int) int32 { return int32(i) }
-	if q.Candidates != nil {
-		seen := make(map[int32]bool, len(q.Candidates))
-		verts := make([]int32, 0, len(q.Candidates))
-		for _, v := range q.Candidates {
-			if v < 0 || int(v) >= n {
-				return nil, nil, fmt.Errorf("trussdiv: candidate vertex %d out of range [0,%d)", v, n)
-			}
-			if !seen[v] {
-				seen[v] = true
-				verts = append(verts, v)
-			}
-		}
-		count, at = len(verts), func(i int) int32 { return verts[i] }
-	}
-	scored := make([]VertexScore, count)
-	for i := range scored {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		v := at(i)
-		scored[i] = VertexScore{V: v, Score: e.scorer.Score(v, q.K)}
-	}
-	core.SortCanonical(scored)
-	res := &Result{TopR: scored[:min(q.R, count)]}
-	if q.IncludeContexts {
-		res.Contexts = make(map[int32][][]int32, len(res.TopR))
-		for _, vs := range res.TopR {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			res.Contexts[vs.V] = e.scorer.Contexts(vs.V, q.K)
-		}
-	}
-	var stats *Stats
-	if !q.SkipStats {
-		stats = &Stats{ScoreComputations: count, Candidates: count}
-	}
-	return res, stats, nil
+	return e.online.Search(ctx, p)
 }
 
 func (e *measureEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.g, v, k); err != nil {
+	if err := singleVertexErr(ctx, e.pool.Graph(), v, k); err != nil {
 		return 0, err
 	}
-	return e.scorer.Score(v, k), nil
+	return e.pool.Score(v, k), nil
 }
 
 func (e *measureEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.g, v, k); err != nil {
+	if err := singleVertexErr(ctx, e.pool.Graph(), v, k); err != nil {
 		return nil, err
 	}
-	return e.scorer.Contexts(v, k), nil
+	return e.pool.Contexts(v, k), nil
 }
 
 func (e *measureEngine) Cost(q Query) Estimate {
@@ -1229,7 +1183,7 @@ type pfreeEngine struct {
 	g     *Graph
 	w     workload
 	cache *indexCache
-	pools core.MeasurePools // every scorer the engine borrows, per measure
+	pools core.MeasurePools // the snapshot's, shared with its other engines
 }
 
 func (e *pfreeEngine) Name() string { return "pfree" }

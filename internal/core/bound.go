@@ -60,9 +60,10 @@ func UpperBound(degree int, egoEdges int32, k int32) int {
 // Bound is the pruned searcher (paper Algorithm 4): sparsify, compute the
 // Lemma-2 upper bound for every surviving vertex, visit candidates in
 // decreasing bound order, and stop as soon as the next bound cannot beat
-// the current r-th best score. It owns one ScorerPool per measure for
-// its whole life; truss scans rebind the borrowed scorers to each
-// query's sparsified graph, which keeps g's vertex set.
+// the current r-th best score. It borrows its scorers from one
+// ScorerPool per measure that lives as long as the searcher; truss scans
+// rebind the borrowed scorers to each query's sparsified graph, which
+// keeps g's vertex set, and Put binds them back.
 type Bound struct {
 	g *graph.Graph
 	// tauFn, when set, supplies the global truss decomposition instead of
@@ -74,13 +75,14 @@ type Bound struct {
 // NewBound returns a Bound searcher over g.
 func NewBound(g *graph.Graph) *Bound { return &Bound{g: g, pools: NewMeasurePools(g)} }
 
-// NewBoundWithTau returns a Bound searcher that obtains the global truss
-// decomposition of g from fn — typically a cache backed by an index store
-// — instead of recomputing it on every search. fn must return the exact
-// decomposition of g (tau indexed by edge ID); the search results are
-// identical either way.
-func NewBoundWithTau(g *graph.Graph, fn func() []int32) *Bound {
-	return &Bound{g: g, tauFn: fn, pools: NewMeasurePools(g)}
+// NewBoundWithTau returns a Bound searcher over the pools' graph g that
+// borrows its scorers from pools (which other searchers over g may
+// share) and obtains the global truss decomposition of g from fn —
+// typically a cache backed by an index store — instead of recomputing it
+// on every search. fn must return the exact decomposition of g (tau
+// indexed by edge ID); the search results are identical either way.
+func NewBoundWithTau(pools MeasurePools, fn func() []int32) *Bound {
+	return &Bound{g: pools.Graph(), tauFn: fn, pools: pools}
 }
 
 // Graph returns the underlying graph.

@@ -81,29 +81,6 @@ func (e *UnsupportedMeasureError) Error() string {
 // Is makes errors.Is(err, ErrUnsupportedMeasure) match.
 func (e *UnsupportedMeasureError) Is(target error) bool { return target == ErrUnsupportedMeasure }
 
-// DivScorer is the per-vertex interface a measure provides to the
-// generic engines: an exact score and the social contexts behind it.
-// Implementations must be safe for concurrent use (the stock scorers
-// pool per-worker scratch internally).
-type DivScorer interface {
-	Score(v int32, k int32) int
-	Contexts(v int32, k int32) [][]int32
-}
-
-// NewMeasureScorer returns the shared, concurrency-safe scorer computing
-// measure m over g: the truss Scorer (Algorithm 2) or a ScorerPool
-// byte-identical to the baseline Comp-Div / Core-Div models. Both pool
-// VertexScorers, each holding an n-sized extraction table, so build one
-// per graph and keep it as long as the graph — never one per call or
-// per query. Scan loops that own their workers should lend scorers from
-// the pool (ScorerPool.ScanWorkers) instead of calling it per vertex.
-func NewMeasureScorer(g *graph.Graph, m Measure) DivScorer {
-	if m = m.Normalize(); m == MeasureTruss {
-		return NewScorer(g)
-	}
-	return NewScorerPool(g, m)
-}
-
 // MeasureUpperBound bounds score(v) under measure m from two quantities
 // every measure shares: the degree d(v) and the ego-network edge count
 // m_v (= the number of triangles through v). Each measure's contexts
@@ -165,26 +142,19 @@ func BuildMeasureRankings(g *graph.Graph, m Measure) [][]VertexScore {
 // answer vertices are recovered online with the measure's own scorer
 // (sharded across p.Workers, the dominant per-answer cost).
 type Ranked struct {
-	g      *graph.Graph
-	m      Measure
-	scorer DivScorer
-	perK   [][]VertexScore
+	g    *graph.Graph
+	m    Measure
+	pool *ScorerPool
+	perK [][]VertexScore
 }
 
-// NewRanked returns a rankings-backed searcher for measure m over g.
-// perK must come from BuildMeasureRankings(g, m) (or an index store that
-// persisted it): perK[k] sorted by score descending, vertex ascending,
-// zero scores omitted. The rankings are adopted, not copied. It builds
-// its own context scorer; serving paths that keep the measure's scorer
-// for the life of the graph hand it to NewRankedWith instead.
-func NewRanked(g *graph.Graph, m Measure, perK [][]VertexScore) *Ranked {
-	return NewRankedWith(NewMeasureScorer(g, m), g, m, perK)
-}
-
-// NewRankedWith is NewRanked recovering contexts through scorer, which
-// must compute measure m over g (NewMeasureScorer(g, m)).
-func NewRankedWith(scorer DivScorer, g *graph.Graph, m Measure, perK [][]VertexScore) *Ranked {
-	return &Ranked{g: g, m: m.Normalize(), scorer: scorer, perK: perK}
+// NewRanked returns a rankings-backed searcher for the measure of pool
+// over the pool's graph g, recovering contexts with scorers borrowed
+// from pool. perK must come from BuildMeasureRankings(g, m) (or an index
+// store that persisted it): perK[k] sorted by score descending, vertex
+// ascending, zero scores omitted. The rankings are adopted, not copied.
+func NewRanked(pool *ScorerPool, perK [][]VertexScore) *Ranked {
+	return &Ranked{g: pool.Graph(), m: pool.Measure(), pool: pool, perK: perK}
 }
 
 // Measure returns the measure the rankings were scored under.
@@ -211,7 +181,7 @@ func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 	answer, candidates := rankedAnswer(ranked, r.g.N(), p)
 	stats := &Stats{Candidates: candidates}
 	res, err := finishResult(ctx, answer, p, func(v int32) [][]int32 {
-		return r.scorer.Contexts(v, p.K)
+		return r.pool.Contexts(v, p.K)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -19,11 +19,26 @@ import (
 // canonical order, same scores, same contexts — across seeded random
 // graphs and worker counts {1, 4, GOMAXPROCS}.
 
+// baselineModel returns the naive internal/baseline model of measure m
+// (component or core): the independent reference the generic engines
+// and the pooled VertexScorers are checked against.
+func baselineModel(t *testing.T, g *graph.Graph, m Measure) baseline.Model {
+	t.Helper()
+	switch m {
+	case MeasureComponent:
+		return baseline.NewCompDiv(g)
+	case MeasureCore:
+		return baseline.NewCoreDiv(g)
+	}
+	t.Fatalf("no baseline model for measure %q", m)
+	return nil
+}
+
 // baselineTopR is the reference answer: the naive full sort of
 // baseline.Search plus contexts from the model, shaped like a Result.
 func baselineTopR(t *testing.T, g *graph.Graph, m Measure, k int32, r int) *Result {
 	t.Helper()
-	model := NewMeasureScorer(g, m).(baseline.Model)
+	model := baselineModel(t, g, m)
 	top, err := baseline.Search(context.Background(), model, g.N(), k, r)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +84,7 @@ func TestMeasureEnginesMatchBaseline(t *testing.T) {
 			engines := map[string]searcher{
 				"online": NewOnline(g),
 				"bound":  NewBound(g),
-				"ranked": NewRanked(g, m, BuildMeasureRankings(g, m)),
+				"ranked": NewRanked(NewScorerPool(g, m), BuildMeasureRankings(g, m)),
 			}
 			for _, k := range []int32{2, 3, 5} {
 				for _, r := range []int{1, 10, g.N()} {
@@ -119,7 +134,7 @@ func TestMeasureUpperBoundIsSound(t *testing.T) {
 		g := tc.g
 		mv := g.TrianglesPerVertex()
 		for _, m := range AllMeasures() {
-			scorer := NewMeasureScorer(g, m)
+			scorer := NewScorerPool(g, m)
 			for _, k := range []int32{2, 3, 4, 6} {
 				for v := int32(0); int(v) < g.N(); v++ {
 					score := scorer.Score(v, k)
@@ -142,7 +157,7 @@ func TestMeasureRankingsMatchScores(t *testing.T) {
 		g := tc.g
 		for _, m := range []Measure{MeasureComponent, MeasureCore} {
 			perK := BuildMeasureRankings(g, m)
-			scorer := NewMeasureScorer(g, m)
+			scorer := baselineModel(t, g, m)
 			maxK := int32(len(perK) + 2)
 			for k := int32(2); k <= maxK; k++ {
 				dense := make([]int, g.N())

@@ -19,9 +19,8 @@ import (
 // A VertexScorer is NOT safe for concurrent use: each scan worker owns
 // exactly one (see DESIGN.md "Scratch ownership contract"). Its
 // extraction scratch holds an n-sized lookup table, so a VertexScorer
-// should live as long as its graph: serving paths borrow them from a
-// ScorerPool owned by a searcher or engine instead of building one per
-// call.
+// should live as long as its graph: serving paths borrow them from the
+// graph's ScorerPool instead of building one per call.
 type VertexScorer struct {
 	g *graph.Graph
 	m Measure
@@ -39,14 +38,13 @@ func NewVertexScorer(g *graph.Graph, m Measure) *VertexScorer {
 	return &VertexScorer{g: g, m: m.Normalize()}
 }
 
-// ScorerPool recycles the VertexScorers of one (graph, measure) pair. It
-// is the concurrency-safe DivScorer of the component and core measures
-// (NewMeasureScorer) and the per-measure scorer store of the Online and
-// Bound searchers: scan workers borrow one VertexScorer each for the
-// length of a scan (ScanWorkers) and context recovery borrows per call.
-// A pool lives as long as the searcher or engine that created it with
-// its graph; idle scorers are released to the garbage collector by the
-// underlying sync.Pool.
+// ScorerPool recycles the VertexScorers of one (graph, measure) pair and
+// is safe for concurrent use. It is the scorer store of every serving
+// path: scan workers borrow one VertexScorer each for the length of a
+// scan (ScanWorkers), and Score/Contexts borrow one per call. A pool
+// lives as long as its graph — one MeasurePools per graph, shared by the
+// searchers and engines over it; idle scorers are released to the
+// garbage collector by the underlying sync.Pool.
 type ScorerPool struct {
 	g    *graph.Graph
 	m    Measure
@@ -83,18 +81,6 @@ func (p *ScorerPool) Graph() *graph.Graph { return p.g }
 
 // Measure returns the measure the pool's scorers compute.
 func (p *ScorerPool) Measure() Measure { return p.m }
-
-// Name identifies the measure's model in reports, matching the
-// internal/baseline naming, so a pool also satisfies baseline.Model.
-func (p *ScorerPool) Name() string {
-	switch p.m {
-	case MeasureComponent:
-		return "Comp-Div"
-	case MeasureCore:
-		return "Core-Div"
-	}
-	return "Truss-Div"
-}
 
 // Score returns score(v) w.r.t. k on a borrowed VertexScorer.
 func (p *ScorerPool) Score(v int32, k int32) int {
@@ -139,8 +125,9 @@ func (p *ScorerPool) scanWorkersOn(g *graph.Graph, score func(vs *VertexScorer, 
 }
 
 // MeasurePools holds one ScorerPool per measure over one graph, indexed
-// in AllMeasures order: the scorer store of a searcher or engine that
-// serves every measure.
+// in AllMeasures order. Build one per graph and share it between every
+// searcher and engine over that graph: each pooled scorer holds an
+// n-sized extraction table.
 type MeasurePools [3]*ScorerPool
 
 // NewMeasurePools returns one empty pool per measure over g.
@@ -152,8 +139,11 @@ func NewMeasurePools(g *graph.Graph) MeasurePools {
 	return ps
 }
 
+// Graph returns the graph every pool scores over.
+func (ps MeasurePools) Graph() *graph.Graph { return ps[0].g }
+
 // Of returns the pool of measure m ("" = truss).
-func (ps *MeasurePools) Of(m Measure) *ScorerPool {
+func (ps MeasurePools) Of(m Measure) *ScorerPool {
 	switch m.Normalize() {
 	case MeasureComponent:
 		return ps[1]

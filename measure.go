@@ -153,7 +153,7 @@ func (s *Snapshot) ScorePFree(ctx context.Context, v int32, m Measure) (int, err
 	if err := s.pfreePointErr(ctx, v, &m); err != nil {
 		return 0, err
 	}
-	return pfree.ScoreWith(s.pfree.pools.Of(m), v), nil
+	return pfree.ScoreWith(s.pools.Of(m), v), nil
 }
 
 // ContextsPFree returns SC(v) at v's discriminating level under measure
@@ -162,7 +162,7 @@ func (s *Snapshot) ContextsPFree(ctx context.Context, v int32, m Measure) ([][]i
 	if err := s.pfreePointErr(ctx, v, &m); err != nil {
 		return nil, err
 	}
-	return pfree.ContextsWith(s.pfree.pools.Of(m), v), nil
+	return pfree.ContextsWith(s.pools.Of(m), v), nil
 }
 
 // pfreePointErr validates a parameter-free point query and normalizes

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"trussdiv"
+	"trussdiv/internal/baseline"
 )
 
 // End-to-end measure axis: the component and core measures must be
@@ -19,23 +20,31 @@ import (
 // models, while unqualified (truss) queries keep their pre-measure
 // behavior exactly.
 
-// measureReference computes the naive reference answer for measure m:
-// a cold DB's native engine with no rankings prepared, which is the
-// pre-measure baselineEngine scan over baseline.Search.
+// measureReference computes the naive reference answer for measure m
+// from the baseline model (Comp-Div or Core-Div): baseline.Search's full
+// sort plus the model's contexts, shaped like a Result. It shares no
+// scoring code with the engines under test.
 func measureReference(t *testing.T, g *trussdiv.Graph, m trussdiv.Measure, k int32, r int) *trussdiv.Result {
 	t.Helper()
-	db, err := trussdiv.Open(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := "comp"
+	model := trussdiv.NewCompDiv(g)
 	if m == trussdiv.MeasureCore {
-		name = "kcore"
+		model = trussdiv.NewCoreDiv(g)
 	}
-	res, _, err := db.TopR(context.Background(), trussdiv.NewQuery(k, r,
-		trussdiv.ViaEngine(name), trussdiv.WithContexts()))
+	top, err := baseline.Search(context.Background(), model, g.N(), k, r)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res := &trussdiv.Result{
+		TopR:     make([]trussdiv.VertexScore, len(top)),
+		Contexts: make(map[int32][][]int32, len(top)),
+	}
+	for i, e := range top {
+		res.TopR[i] = trussdiv.VertexScore{V: e.V, Score: e.Score}
+		c := model.Contexts(e.V, k)
+		if len(c) == 0 {
+			c = nil
+		}
+		res.Contexts[e.V] = c
 	}
 	return res
 }

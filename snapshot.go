@@ -70,9 +70,9 @@ type Snapshot struct {
 	cache  *indexCache
 	reg    *registry
 	forced string
-	// pfree is the registered pfree engine; its per-measure scorer pools
-	// also serve the parameter-free point queries (ScorePFree).
-	pfree *pfreeEngine
+	// pools is the one scorer store every built-in engine and point
+	// query over g borrows from; it lives as long as the snapshot.
+	pools core.MeasurePools
 	// applied records the incremental-repair work of the update batch that
 	// produced this snapshot (nil for the Open snapshot and for snapshots
 	// whose caches held nothing repairable).
@@ -95,26 +95,27 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snap
 		forced: forced,
 	}
 	cache.setEpoch(epoch)
-	s.pfree = &pfreeEngine{g: g, w: s.w, cache: cache, pools: core.NewMeasurePools(g)}
+	s.pools = core.NewMeasurePools(g)
+	online := newOnlineEngine(s.pools, s.w)
 	for _, reg := range []struct {
 		engine   Engine
 		routable bool
 	}{
-		{newOnlineEngine(g, s.w), true},
-		{newBoundEngine(g, s.w, cache), true},
+		{online, true},
+		{newBoundEngine(s.pools, s.w, cache), true},
 		{&tsdEngine{cache: cache, w: s.w}, true},
 		{&gctEngine{cache: cache, w: s.w}, true},
 		{&hybridEngine{cache: cache, w: s.w}, true},
 		// The native measure engines are routable for their own measure
 		// only (they declare it via MeasureLister), so truss queries never
 		// see them — same reachability as when they were non-routable.
-		{newMeasureEngine("comp", MeasureComponent, g, s.w, cache), true},
-		{newMeasureEngine("kcore", MeasureCore, g, s.w, cache), true},
+		{newMeasureEngine("comp", MeasureComponent, s.pools, online.eng, s.w, cache), true},
+		{newMeasureEngine("kcore", MeasureCore, s.pools, online.eng, s.w, cache), true},
 		// The parameter-free engine serves every measure but only the
 		// k-less queries (K == 0), which in turn route only to it — the
 		// K axis partitions the routing matrix, so the fixed-k engines'
 		// reachability is unchanged.
-		{s.pfree, true},
+		{&pfreeEngine{g: g, w: s.w, cache: cache, pools: s.pools}, true},
 	} {
 		if err := s.reg.add(reg.engine, reg.routable); err != nil {
 			return nil, err
