@@ -5,12 +5,13 @@
 # e.g. TestConcurrentReadersDuringApply, run under it).
 # `make ci` is the umbrella the GitHub workflow runs: formatting gate
 # plus the tier-1 checks, plus the suite again at GOMAXPROCS 1 and 4
-# (`make test-cpus`) so single-core assumptions fail on any runner.
+# (`make test-cpus`) so single-core assumptions fail on any runner, and
+# the benchmark harness module (`make bench-harness`).
 GO ?= go
 
-.PHONY: ci check check-race fmt-check lint vet build test test-cpus bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cluster-smoke cover fuzz
+.PHONY: ci check check-race fmt-check lint vet build test test-cpus bench-harness bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cluster-smoke cover fuzz
 
-ci: fmt-check lint check test-cpus
+ci: fmt-check lint check test-cpus bench-harness
 
 check: vet build test
 
@@ -48,6 +49,13 @@ test:
 # serial == parallel claims must hold on any core count.
 test-cpus:
 	$(GO) test -cpu 1,4 ./...
+
+# The end-to-end benchmark lives in its own module (tsdload/go.mod), which
+# `go test ./...` at the root does not enter: vet and test it here so a
+# core/store API change that breaks the harness fails CI, not the next
+# benchmark run. vet type-checks without leaving a binary in tsdload/.
+bench-harness:
+	cd tsdload && $(GO) vet ./... && $(GO) test ./...
 
 # Quick-mode paper benchmarks (full versions: go run ./cmd/tsdbench).
 bench:

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
+	"reflect"
 	"runtime"
 	"sync"
 	"time"
@@ -15,26 +17,30 @@ import (
 	"trussdiv/internal/truss"
 )
 
-// indexCache lazily provides and shares the search accelerators — the
-// global truss decomposition and the TSD/GCT/Hybrid structures — among
-// the engine adapters of one DB, so e.g. the gct and hybrid engines reuse
-// one GCT index. With an index directory configured (WithIndexDir), a
-// cache miss first tries the on-disk store and only then builds from the
-// graph; every from-scratch build is persisted back, so the next process
-// warm starts. All accessors are safe for concurrent use; builds are not
-// interruptible, so cancellation is observed before a build starts.
+// indexCache lazily provides and shares the search accelerators of one
+// snapshot among the engine adapters of a DB, so e.g. the gct and hybrid
+// engines reuse one GCT index. The accelerators live in one table keyed
+// by store.SectionRef — the key the index file persists them under — so
+// every structure follows the same path: memory, else the warm-start file
+// (WithIndexDir), else a build from the graph that is persisted back, so
+// the next process warm starts. All accessors are safe for concurrent
+// use; builds are not interruptible, so cancellation is observed before a
+// build starts.
 type indexCache struct {
 	g *Graph
 
-	mu        sync.Mutex
-	epoch     Epoch   // the snapshot this cache belongs to; recorded on persist
-	tau       []int32 // global truss decomposition, indexed by edge ID
-	sup       []int32 // pristine edge supports matching tau (nil when tau was store-loaded)
-	tsd       *core.TSDIndex
-	gct       *core.GCTIndex
-	hybrid    *core.Hybrid
-	mrank     map[core.Measure][][]core.VertexScore // per-measure per-k rankings (non-truss)
-	pfrank    map[core.Measure][]core.VertexScore   // parameter-free rankings (all measures)
+	mu    sync.Mutex
+	epoch Epoch // the snapshot this cache belongs to; recorded on persist
+	// secs holds every structure in memory, one entry per present section:
+	//
+	//	SecTruss, SecSupports  []int32 (global truss decomposition and its
+	//	                       pristine edge supports, indexed by edge ID)
+	//	SecTSD                 *core.TSDIndex
+	//	SecGCT                 *core.GCTIndex
+	//	SecRankings            [][]core.VertexScore (per-k rankings of the
+	//	                       entry's measure; truss serves the hybrid engine)
+	//	SecPFree               []core.VertexScore (parameter-free ranking)
+	secs      map[store.SectionRef]any
 	buildTime time.Duration
 	loadTime  time.Duration
 
@@ -66,9 +72,10 @@ type indexCache struct {
 	// Build entry points, swappable by tests that assert a warm open
 	// never builds; builds counts the from-scratch constructions. buildTau
 	// returns the supports alongside the decomposition — the incremental
-	// repair consumes them on the next Apply. buildAllIdx is the
-	// single-pass multi-structure driver Prepare routes through when two
-	// or more ego-derived structures are missing at once.
+	// repair consumes them on the next Apply. buildHybrid yields the truss
+	// per-k rankings. buildAllIdx is the single-pass multi-structure driver
+	// Prepare routes through when two or more ego-derived structures are
+	// missing at once.
 	buildTau    func(*Graph) (tau, sup []int32)
 	buildTSD    func(*Graph) *core.TSDIndex
 	buildGCT    func(*Graph) *core.GCTIndex
@@ -78,10 +85,47 @@ type indexCache struct {
 	builds      int
 }
 
-// trussSec addresses a truss-tagged section of the index store (the only
-// kind that existed before format v2).
-func trussSec(s store.Section) store.SectionRef {
-	return store.SectionRef{Section: s, Measure: core.MeasureTruss}
+// secRef keys section s of measure m in the table and the index file.
+func secRef(s store.Section, m Measure) store.SectionRef {
+	return store.SectionRef{Section: s, Measure: m.Normalize()}
+}
+
+// Table keys of the truss-only sections, and of the hybrid engine's
+// rankings.
+var (
+	tauRef        = secRef(store.SecTruss, MeasureTruss)
+	supRef        = secRef(store.SecSupports, MeasureTruss)
+	tsdRef        = secRef(store.SecTSD, MeasureTruss)
+	gctRef        = secRef(store.SecGCT, MeasureTruss)
+	trussRanksRef = secRef(store.SecRankings, MeasureTruss)
+)
+
+// sectionReaders decode a table section from the warm-start file, one
+// reader per store.Section; the file's other sections (epoch, graph) are
+// not table entries.
+var sectionReaders = map[store.Section]func(*store.File, core.Measure) (any, error){
+	store.SecTruss:    func(f *store.File, _ core.Measure) (any, error) { return f.Tau() },
+	store.SecSupports: func(f *store.File, _ core.Measure) (any, error) { return f.Sup() },
+	store.SecTSD:      func(f *store.File, _ core.Measure) (any, error) { return f.TSD() },
+	store.SecGCT:      func(f *store.File, _ core.Measure) (any, error) { return f.GCT() },
+	store.SecRankings: func(f *store.File, m core.Measure) (any, error) {
+		perK, err := f.MeasureRankings(m)
+		if perK != nil && m == MeasureTruss {
+			perK = trussRankings(perK)
+		}
+		return perK, err
+	},
+	store.SecPFree: func(f *store.File, m core.Measure) (any, error) { return f.PFreeRanking(m) },
+}
+
+// trussRankings pads a truss per-k table the way core.NewHybridFromRankings
+// does, so the table is held, served and persisted exactly as the hybrid
+// engine's Rankings.
+func trussRankings(perK [][]core.VertexScore) [][]core.VertexScore {
+	if len(perK) < 3 {
+		return make([][]core.VertexScore, 3)
+	}
+	return perK
 }
 
 // newIndexCache wires a cache to its builders and, when cfg names an
@@ -92,10 +136,9 @@ func trussSec(s store.Section) store.SectionRef {
 func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 	workers := cfg.buildWorkers
 	c := &indexCache{
-		g:   g,
-		tsd: cfg.tsdIdx,
-		gct: cfg.gctIdx,
-		dir: cfg.indexDir,
+		g:    g,
+		secs: make(map[store.SectionRef]any),
+		dir:  cfg.indexDir,
 		// Cold decompositions run the parallel h-index peeling; the tau
 		// array is byte-identical to the serial Decompose, and the supports
 		// come back pristine so the next Apply can repair incrementally.
@@ -110,6 +153,8 @@ func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 			return core.BuildAll(g, t, workers)
 		},
 	}
+	c.put(tsdRef, cfg.tsdIdx)
+	c.put(gctRef, cfg.gctIdx)
 	if cfg.storeMode == StoreDecode {
 		c.mode = store.ModeDecode
 	}
@@ -156,7 +201,7 @@ func (c *indexCache) setEpoch(e Epoch) {
 func (c *indexCache) storedEpoch() Epoch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ep := loadSection(c, trussSec(store.SecEpoch), (*store.File).Epoch)
+	ep := loadSection(c, secRef(store.SecEpoch, MeasureTruss), (*store.File).Epoch)
 	return Epoch(ep)
 }
 
@@ -167,7 +212,7 @@ func (c *indexCache) storedEpoch() Epoch {
 // ego-networks; the global truss decomposition is repaired by the bounded
 // region descent of truss.Repair (falling back to invalidation — and a
 // lazy parallel rebuild — when the affected region exceeds its budget or
-// the supports were not retained); the hybrid and per-measure rankings
+// the supports were not retained); the per-k and parameter-free rankings
 // are patched in place by re-scoring only the affected vertices. The
 // repairs run outside the lock (they only read the old, now-immutable
 // structures) so readers of this snapshot never block on an Apply. The
@@ -178,25 +223,10 @@ func (c *indexCache) storedEpoch() Epoch {
 func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.UpdateStats) {
 	c.mu.Lock()
 	oldG := c.g
-	tsd, gct := c.tsd, c.gct
-	tau, sup := c.tau, c.sup
-	hybrid := c.hybrid
-	var mrank map[core.Measure][][]core.VertexScore
-	if len(c.mrank) > 0 {
-		mrank = make(map[core.Measure][][]core.VertexScore, len(c.mrank))
-		for m, perK := range c.mrank {
-			mrank[m] = perK
-		}
-	}
-	var pfrank map[core.Measure][]core.VertexScore
-	if len(c.pfrank) > 0 {
-		pfrank = make(map[core.Measure][]core.VertexScore, len(c.pfrank))
-		for m, ranked := range c.pfrank {
-			pfrank[m] = ranked
-		}
-	}
+	old := maps.Clone(c.secs)
 	next := &indexCache{
 		g:           newG,
+		secs:        make(map[store.SectionRef]any, len(old)),
 		dir:         c.dir,
 		mode:        c.mode,
 		buildTau:    c.buildTau,
@@ -218,12 +248,17 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	c.dir = ""
 	c.mu.Unlock()
 
+	// next is not shared until advance returns: no lock needed below.
 	var stats *core.UpdateStats
-	if tsd != nil {
-		next.tsd, stats = tsd.UpdateOnto(newG, ins, del)
+	if tsd, ok := old[tsdRef].(*core.TSDIndex); ok {
+		var idx *core.TSDIndex
+		idx, stats = tsd.UpdateOnto(newG, ins, del)
+		next.put(tsdRef, idx)
 	}
-	if gct != nil {
-		next.gct, stats = gct.UpdateOnto(newG, ins, del)
+	if gct, ok := old[gctRef].(*core.GCTIndex); ok {
+		var idx *core.GCTIndex
+		idx, stats = gct.UpdateOnto(newG, ins, del)
+		next.put(gctRef, idx)
 	}
 
 	ensureStats := func() *core.UpdateStats {
@@ -238,9 +273,12 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	// parallel peeling on next use) when the region the batch can influence
 	// exceeds the size cutoff — the cost router then prices the rebuild
 	// back into the bound engine's estimate.
+	tau, _ := old[tauRef].([]int32)
+	sup, _ := old[supRef].([]int32)
 	if tau != nil && sup != nil {
 		if rr, ok := truss.Repair(oldG, newG, tau, sup, ins, del, 0); ok {
-			next.tau, next.sup = rr.Tau, rr.Sup
+			next.put(tauRef, rr.Tau)
+			next.put(supRef, rr.Sup)
 			st := ensureStats()
 			st.TrussRepaired = true
 			st.TrussRegion = rr.Region
@@ -248,28 +286,31 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	}
 
 	// Ranking tables: patch in place by re-scoring only the vertices whose
-	// ego-networks the batch touched. The hybrid patch re-scores against
-	// the repaired GCT index, so it needs one in memory; a hybrid that was
-	// reconstructed from persisted rankings without its GCT falls back to
-	// invalidation.
-	if (hybrid != nil && next.gct != nil) || len(mrank) > 0 || len(pfrank) > 0 {
-		affected := core.AffectedVertices(oldG, newG, ins, del)
-		st := ensureStats()
-		if hybrid != nil && next.gct != nil {
-			next.hybrid = core.PatchHybrid(hybrid, next.gct, affected)
-			st.RankingsPatched++
-		}
-		for m, perK := range mrank {
-			// next is not shared yet: no lock needed.
-			next.setMeasureRankLocked(m, core.PatchMeasureRankings(newG, m, perK, affected))
-			st.RankingsPatched++
-		}
-		for m, ranked := range pfrank {
+	// ego-networks the batch touched. The truss rankings re-score against
+	// the repaired GCT index, so they need one in memory; without it they
+	// fall back to invalidation.
+	affected := sync.OnceValue(func() []int32 { return core.AffectedVertices(oldG, newG, ins, del) })
+	gct, _ := next.secs[gctRef].(*core.GCTIndex)
+	for ref, v := range old {
+		var patched any
+		switch {
+		case ref == trussRanksRef:
+			if gct == nil {
+				continue
+			}
+			prev := core.NewHybridFromRankings(oldG, v.([][]core.VertexScore))
+			patched = core.PatchHybrid(prev, gct, affected()).Rankings()
+		case ref.Section == store.SecRankings:
+			patched = core.PatchMeasureRankings(newG, ref.Measure, v.([][]core.VertexScore), affected())
+		case ref.Section == store.SecPFree:
 			// The parameter-free ranking splices the same affected set:
 			// re-score only those vertices' all-k vectors, merge canonically.
-			next.setPFreeRankLocked(m, pfree.PatchRanking(newG, m, ranked, affected))
-			st.RankingsPatched++
+			patched = pfree.PatchRanking(newG, ref.Measure, v.([]core.VertexScore), affected())
+		default:
+			continue
 		}
+		next.put(ref, patched)
+		ensureStats().RankingsPatched++
 	}
 	return next, stats
 }
@@ -282,7 +323,7 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 // is detected and handled per section. Callers must hold c.mu.
 func loadSection[T any](c *indexCache, ref store.SectionRef, read func(*store.File) (T, error)) T {
 	var zero T
-	if c.file == nil || !c.file.HasMeasure(ref.Section, ref.Measure) || c.bad[ref] {
+	if !c.loadable(ref) {
 		return zero
 	}
 	start := time.Now()
@@ -299,274 +340,157 @@ func loadSection[T any](c *indexCache, ref store.SectionRef, read func(*store.Fi
 	return v
 }
 
-// trussTau returns the global truss decomposition, loading or computing
-// (and then persisting) it on first use. The bound engine's searches read
-// it through this cache, so sparsification costs one edge filter instead
-// of a fresh decomposition per query.
-func (c *indexCache) trussTau() []int32 {
+// loadable reports whether the warm-start file holds ref in a form not
+// yet found damaged. Callers must hold c.mu.
+func (c *indexCache) loadable(ref store.SectionRef) bool {
+	return c.file != nil && c.file.HasMeasure(ref.Section, ref.Measure) && !c.bad[ref]
+}
+
+// put records v at ref. A nil slice or pointer is no structure and
+// leaves the table as it is. Callers must hold c.mu (or own c alone).
+func (c *indexCache) put(ref store.SectionRef, v any) {
+	if rv := reflect.ValueOf(v); rv.IsValid() && !rv.IsNil() {
+		c.secs[ref] = v
+	}
+}
+
+// load moves ref from the warm-start file into the table and returns it,
+// or nil when the file cannot supply it. Callers must hold c.mu.
+func (c *indexCache) load(ref store.SectionRef) any {
+	read, ok := sectionReaders[ref.Section]
+	if !ok {
+		return nil
+	}
+	c.put(ref, loadSection(c, ref, func(f *store.File) (any, error) { return read(f, ref.Measure) }))
+	return c.secs[ref]
+}
+
+// get returns the structure at ref, typed for the caller; see getLocked.
+func get[T any](c *indexCache, ref store.SectionRef, build bool) T {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.trussTauLocked()
+	v, _ := c.getLocked(ref, build).(T)
+	return v
 }
 
-func (c *indexCache) trussTauLocked() []int32 {
-	if c.tau != nil {
-		return c.tau
+// getLocked returns the structure at ref: from memory, else from the
+// warm-start file, else — for a pfree ranking — derived from a per-k
+// table already in memory or on disk, else, only when build is set,
+// built from the graph and persisted. Without build, a structure found
+// nowhere is nil and the engine falls back to scanning. Callers must hold
+// c.mu.
+func (c *indexCache) getLocked(ref store.SectionRef, build bool) any {
+	if v, ok := c.secs[ref]; ok {
+		return v
 	}
-	if tau := loadSection(c, trussSec(store.SecTruss), (*store.File).Tau); tau != nil {
-		// Format v3 persists the supports next to the decomposition, so a
-		// warm start repairs incrementally on the very first Apply. Older
-		// files lack the section (sup stays nil) and the first Apply
-		// rebuilds; the rebuild re-derives both and repair resumes.
-		c.tau = tau
-		c.sup = loadSection(c, trussSec(store.SecSupports), (*store.File).Sup)
-		return c.tau
+	if v := c.load(ref); v != nil {
+		if ref == tauRef {
+			// Format v3 persists the supports next to the decomposition, so
+			// a warm start repairs incrementally on the very first Apply.
+			// Older files lack the section and the first Apply rebuilds; the
+			// rebuild re-derives both and repair resumes.
+			c.load(supRef)
+		}
+		return v
 	}
-	start := time.Now()
-	c.tau, c.sup = c.buildTau(c.g)
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
-	return c.tau
-}
-
-func (c *indexCache) tsdIndex() *core.TSDIndex {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tsdIndexLocked()
-}
-
-func (c *indexCache) tsdIndexLocked() *core.TSDIndex {
-	if c.tsd != nil {
-		return c.tsd
-	}
-	if idx := loadSection(c, trussSec(store.SecTSD), (*store.File).TSD); idx != nil {
-		c.tsd = idx
-		return c.tsd
-	}
-	start := time.Now()
-	c.tsd = c.buildTSD(c.g)
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
-	return c.tsd
-}
-
-func (c *indexCache) gctIndex() *core.GCTIndex {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gctIndexLocked()
-}
-
-func (c *indexCache) gctIndexLocked() *core.GCTIndex {
-	if c.gct != nil {
-		return c.gct
-	}
-	if idx := loadSection(c, trussSec(store.SecGCT), (*store.File).GCT); idx != nil {
-		c.gct = idx
-		return c.gct
-	}
-	start := time.Now()
-	c.gct = c.buildGCT(c.g)
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
-	return c.gct
-}
-
-func (c *indexCache) hybridEngine() *core.Hybrid {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hybridLocked()
-}
-
-func (c *indexCache) hybridLocked() *core.Hybrid {
-	if c.hybrid != nil {
-		return c.hybrid
-	}
-	// Persisted rankings rebuild the hybrid without touching the GCT
-	// index: NewHybridFromRankings only allocates a scorer.
-	if perK := loadSection(c, trussSec(store.SecRankings), (*store.File).Rankings); perK != nil {
-		c.hybrid = core.NewHybridFromRankings(c.g, perK)
-		return c.hybrid
-	}
-	idx := c.gctIndexLocked()
-	start := time.Now()
-	c.hybrid = c.buildHybrid(idx)
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
-	return c.hybrid
-}
-
-// measureRankings returns measure m's per-k rankings: from memory, else
-// loaded from a v2 index store section, else — only when build is set —
-// built from the graph (one ego decomposition per vertex) and persisted.
-// Without build, a cold cache returns nil and the caller falls back to
-// scanning; Prepare("comp"/"kcore") is the build path.
-func (c *indexCache) measureRankings(m Measure, build bool) [][]core.VertexScore {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.measureRankingsLocked(m, build)
-}
-
-func (c *indexCache) measureRankingsLocked(m Measure, build bool) [][]core.VertexScore {
-	if perK := c.mrank[m]; perK != nil {
-		return perK
-	}
-	ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-	if perK := loadSection(c, ref, func(f *store.File) ([][]core.VertexScore, error) {
-		return f.MeasureRankings(m)
-	}); perK != nil {
-		c.setMeasureRankLocked(m, perK)
-		return perK
+	if ref.Section == store.SecPFree {
+		// O(table) slice surgery, cheap enough for the query path and not
+		// counted as a build; persisted so the next boot loads the slab
+		// instead of re-deriving.
+		if perK, ok := c.getLocked(secRef(store.SecRankings, ref.Measure), false).([][]core.VertexScore); ok {
+			c.put(ref, pfree.RankingFromPerK(perK))
+			c.persistAfterBuildLocked()
+			return c.secs[ref]
+		}
 	}
 	if !build {
 		return nil
 	}
-	start := time.Now()
-	perK := c.buildMRank(c.g, m)
-	c.buildTime += time.Since(start)
+	// A nested build (the GCT index under the truss rankings) adds its own
+	// time; measuring from before it counts that time once.
+	start, before := time.Now(), c.buildTime
+	v := c.build(ref)
+	c.buildTime = before + time.Since(start)
 	c.builds++
-	c.setMeasureRankLocked(m, perK)
+	c.put(ref, v)
 	c.persistAfterBuildLocked()
-	return perK
+	return c.secs[ref]
 }
 
-func (c *indexCache) setMeasureRankLocked(m Measure, perK [][]core.VertexScore) {
-	if c.mrank == nil {
-		c.mrank = make(map[core.Measure][][]core.VertexScore, 2)
-	}
-	c.mrank[m] = perK
-}
-
-func (c *indexCache) hasMeasureRank(m Measure) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mrank[m.Normalize()] != nil
-}
-
-// pfreeRanking returns the parameter-free engine's canonical ranking for
-// measure m: from memory, else loaded from the store's measure-tagged
-// pfree slab, else derived in O(table) from per-k rankings that are
-// already at hand (the hybrid's truss tables, or a measure-rankings
-// section in memory or on disk). Only when build is set does a fully
-// cold cache pay for the per-k source (one ego decomposition per
-// vertex); without it the caller falls back to the online scan.
-// Derivations and builds persist, so the next boot warm-starts the slab.
-func (c *indexCache) pfreeRanking(m Measure, build bool) []core.VertexScore {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pfreeRankingLocked(m, build)
-}
-
-func (c *indexCache) pfreeRankingLocked(m Measure, build bool) []core.VertexScore {
-	if ranked := c.pfrank[m]; ranked != nil {
-		return ranked
-	}
-	ref := store.SectionRef{Section: store.SecPFree, Measure: m}
-	if ranked := loadSection(c, ref, func(f *store.File) ([]core.VertexScore, error) {
-		return f.PFreeRanking(m)
-	}); ranked != nil {
-		c.setPFreeRankLocked(m, ranked)
-		return ranked
-	}
-	if perK := c.perKForPFreeLocked(m, false); perK != nil {
-		// O(table) slice surgery, cheap enough for the query path; persist
-		// so the next boot loads the slab instead of re-deriving.
-		ranked := pfree.RankingFromPerK(perK)
-		c.setPFreeRankLocked(m, ranked)
-		c.persistAfterBuildLocked()
-		return ranked
-	}
-	if !build {
-		return nil
-	}
-	start := time.Now()
-	ranked := pfree.RankingFromPerK(c.perKForPFreeLocked(m, true))
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.setPFreeRankLocked(m, ranked)
-	c.persistAfterBuildLocked()
-	return ranked
-}
-
-// perKForPFreeLocked resolves the per-k ranking table the pfree
-// derivation consumes: truss tables live in the hybrid engine (memory,
-// then the persisted rankings section), non-truss ones in the measure
-// rankings. Without build, only sources that are already in memory or
-// loadable from the store qualify — never a from-scratch ego pass.
-func (c *indexCache) perKForPFreeLocked(m Measure, build bool) [][]core.VertexScore {
-	if m == MeasureTruss {
-		if c.hybrid != nil {
-			return c.hybrid.Rankings()
+// build constructs the structure at ref from the graph; the truss
+// decomposition records its supports alongside. Callers must hold c.mu.
+func (c *indexCache) build(ref store.SectionRef) any {
+	switch ref.Section {
+	case store.SecTruss:
+		tau, sup := c.buildTau(c.g)
+		c.put(supRef, sup)
+		return tau
+	case store.SecTSD:
+		return c.buildTSD(c.g)
+	case store.SecGCT:
+		return c.buildGCT(c.g)
+	case store.SecRankings:
+		if ref.Measure == MeasureTruss {
+			// Scores are exact GCT reads.
+			idx, _ := c.getLocked(gctRef, true).(*core.GCTIndex)
+			return c.buildHybrid(idx).Rankings()
 		}
-		if perK := loadSection(c, trussSec(store.SecRankings), (*store.File).Rankings); perK != nil {
-			c.hybrid = core.NewHybridFromRankings(c.g, perK)
-			return perK
-		}
-		if !build {
-			return nil
-		}
-		return c.hybridLocked().Rankings()
+		return c.buildMRank(c.g, ref.Measure)
+	case store.SecPFree:
+		perK, _ := c.getLocked(secRef(store.SecRankings, ref.Measure), true).([][]core.VertexScore)
+		return pfree.RankingFromPerK(perK)
 	}
-	return c.measureRankingsLocked(m, build)
+	panic("trussdiv: no builder for index section " + ref.String())
 }
 
-func (c *indexCache) setPFreeRankLocked(m Measure, ranked []core.VertexScore) {
-	if c.pfrank == nil {
-		c.pfrank = make(map[core.Measure][]core.VertexScore, 3)
-	}
-	c.pfrank[m] = ranked
-}
+// secState is how ready one structure is: what the cost estimates price.
+type secState uint8
 
-func (c *indexCache) hasPFreeRank(m Measure) bool {
+const (
+	secMissing  secState = iota // in neither memory nor the file: a use builds it
+	secOnDisk                   // loadable by an O(size) read-and-decode
+	secMapped                   // loadable as views into a mapped file (O(n) headers)
+	secInMemory                 // ready
+)
+
+// state reports how ready the structure at ref is, under one lock.
+func (c *indexCache) state(ref store.SectionRef) secState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pfrank[m.Normalize()] != nil
+	return c.stateLocked(ref)
 }
 
-// onDiskPFreeRank reports whether measure m's pfree ranking can be
-// loaded from the warm-start file.
-func (c *indexCache) onDiskPFreeRank(m Measure) bool {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ref := store.SectionRef{Section: store.SecPFree, Measure: m}
-	return c.file != nil && c.file.HasMeasure(store.SecPFree, m) && !c.bad[ref]
-}
-
-// hasPerKForPFree reports whether the pfree ranking for m is derivable
-// in O(table) right now (per-k source in memory or on disk), which the
-// cost model prices far below a cold ego pass.
-func (c *indexCache) hasPerKForPFree(m Measure) bool {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m == MeasureTruss {
-		if c.hybrid != nil {
-			return true
-		}
-		ref := trussSec(store.SecRankings)
-		return c.file != nil && c.file.HasMeasure(store.SecRankings, m) && !c.bad[ref]
+func (c *indexCache) stateLocked(ref store.SectionRef) secState {
+	switch {
+	case c.secs[ref] != nil:
+		return secInMemory
+	case !c.loadable(ref):
+		return secMissing
+	case c.file.Mode() == store.ModeMmap:
+		return secMapped
 	}
-	if c.mrank[m] != nil {
-		return true
-	}
-	ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-	return c.file != nil && c.file.HasMeasure(store.SecRankings, m) && !c.bad[ref]
+	return secOnDisk
 }
 
-// onDiskMeasureRank reports whether measure m's rankings can be loaded
-// from the warm-start file (a v2 store with the measure-tagged section).
-func (c *indexCache) onDiskMeasureRank(m Measure) bool {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-	return c.file != nil && c.file.HasMeasure(store.SecRankings, m) && !c.bad[ref]
+// prepareRefs lists the structures Prepare readies for each engine it
+// covers. The bound engine's per-query sparsification reads the global
+// truss decomposition; the native measure engines serve prepared per-k
+// rankings in O(r); pfree is prepared for every measure it serves, each
+// ranking derived in O(table) from that measure's per-k rankings (built
+// if missing). The online engine is stateless.
+var prepareRefs = map[string][]store.SectionRef{
+	"online": nil,
+	"bound":  {tauRef},
+	"tsd":    {tsdRef},
+	"gct":    {gctRef},
+	"hybrid": {trussRanksRef},
+	"comp":   {secRef(store.SecRankings, MeasureComponent)},
+	"kcore":  {secRef(store.SecRankings, MeasureCore)},
+	"pfree": {
+		secRef(store.SecPFree, MeasureTruss),
+		secRef(store.SecPFree, MeasureComponent),
+		secRef(store.SecPFree, MeasureCore),
+	},
 }
 
 // prepareShared is Prepare's fast path: it collects every ego-derived
@@ -580,42 +504,34 @@ func (c *indexCache) onDiskMeasureRank(m Measure) bool {
 // missing structures it does nothing: the dedicated builders (and their
 // test tripwires) keep handling the singleton case.
 func (c *indexCache) prepareShared(names []string) {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	avail := func(ref store.SectionRef) bool {
-		return c.file != nil && c.file.HasMeasure(ref.Section, ref.Measure) && !c.bad[ref]
+	need := make(map[store.SectionRef]bool)
+	for _, name := range names {
+		for _, ref := range prepareRefs[name] {
+			if ref.Section == store.SecPFree {
+				// A missing pfree ranking derives from its measure's per-k
+				// rankings: only those can need an extraction pass.
+				if c.stateLocked(ref) != secMissing {
+					continue
+				}
+				ref.Section = store.SecRankings
+			}
+			if c.stateLocked(ref) == secMissing {
+				need[ref] = true
+			}
+		}
 	}
-	// pfree rankings derive in O(table) from per-k tables, so "pfree"
-	// needs a from-scratch build only for measures whose pfree slab AND
-	// per-k source are both missing everywhere.
-	pfreeNeeds := func(m core.Measure) bool {
-		return want["pfree"] && c.pfrank[m] == nil &&
-			!avail(store.SectionRef{Section: store.SecPFree, Measure: m})
+	t := core.BuildTargets{
+		TSD: need[tsdRef],
+		GCT: need[gctRef],
+		// With a GCT index in memory the truss rankings are a cheap index
+		// read, not an extraction pass — leave them to buildHybrid.
+		TrussRanks: need[trussRanksRef] && c.secs[gctRef] == nil,
 	}
-	var t core.BuildTargets
-	if want["tsd"] && c.tsd == nil && !avail(trussSec(store.SecTSD)) {
-		t.TSD = true
-	}
-	if want["gct"] && c.gct == nil && !avail(trussSec(store.SecGCT)) {
-		t.GCT = true
-	}
-	if (want["hybrid"] || pfreeNeeds(MeasureTruss)) &&
-		c.hybrid == nil && c.gct == nil && !avail(trussSec(store.SecRankings)) {
-		// With a GCT index in memory the hybrid build is a cheap index
-		// read, not an extraction pass — leave it to buildHybrid.
-		t.TrussRanks = true
-	}
-	for _, mc := range []struct {
-		name string
-		m    core.Measure
-	}{{"comp", MeasureComponent}, {"kcore", MeasureCore}} {
-		if (want[mc.name] || pfreeNeeds(mc.m)) && c.mrank[mc.m] == nil &&
-			!avail(store.SectionRef{Section: store.SecRankings, Measure: mc.m}) {
-			t.Measures = append(t.Measures, mc.m)
+	for _, m := range []Measure{MeasureComponent, MeasureCore} {
+		if need[secRef(store.SecRankings, m)] {
+			t.Measures = append(t.Measures, m)
 		}
 	}
 	missing := len(t.Measures)
@@ -632,16 +548,16 @@ func (c *indexCache) prepareShared(names []string) {
 	c.buildTime += time.Since(start)
 	c.builds += missing
 	if t.TSD {
-		c.tsd = p.TSD
+		c.put(tsdRef, p.TSD)
 	}
 	if t.GCT {
-		c.gct = p.GCT
+		c.put(gctRef, p.GCT)
 	}
 	if t.TrussRanks {
-		c.hybrid = core.NewHybridFromRankings(c.g, p.TrussRanks)
+		c.put(trussRanksRef, trussRankings(p.TrussRanks))
 	}
 	for _, m := range t.Measures {
-		c.setMeasureRankLocked(m, p.MeasureRanks[m])
+		c.put(secRef(store.SecRankings, m), p.MeasureRanks[m])
 	}
 	c.persistAfterBuildLocked()
 }
@@ -688,55 +604,36 @@ func (c *indexCache) persistLocked() {
 		return
 	}
 	if c.file != nil {
-		if c.tau == nil {
-			c.tau = loadSection(c, trussSec(store.SecTruss), (*store.File).Tau)
-			if c.sup == nil {
-				c.sup = loadSection(c, trussSec(store.SecSupports), (*store.File).Sup)
-			}
-		}
-		if c.tsd == nil {
-			c.tsd = loadSection(c, trussSec(store.SecTSD), (*store.File).TSD)
-		}
-		if c.gct == nil {
-			c.gct = loadSection(c, trussSec(store.SecGCT), (*store.File).GCT)
-		}
-		if c.hybrid == nil {
-			if perK := loadSection(c, trussSec(store.SecRankings), (*store.File).Rankings); perK != nil {
-				c.hybrid = core.NewHybridFromRankings(c.g, perK)
-			}
-		}
-		for _, m := range core.AllMeasures() {
-			if m == MeasureTruss || c.mrank[m] != nil {
-				continue
-			}
-			ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-			if perK := loadSection(c, ref, func(f *store.File) ([][]core.VertexScore, error) {
-				return f.MeasureRankings(m)
-			}); perK != nil {
-				c.setMeasureRankLocked(m, perK)
-			}
-		}
-		for _, m := range core.AllMeasures() {
-			if c.pfrank[m] != nil {
-				continue
-			}
-			ref := store.SectionRef{Section: store.SecPFree, Measure: m}
-			if ranked := loadSection(c, ref, func(f *store.File) ([]core.VertexScore, error) {
-				return f.PFreeRanking(m)
-			}); ranked != nil {
-				c.setPFreeRankLocked(m, ranked)
+		for _, ref := range c.file.Sections() {
+			if c.secs[ref] == nil {
+				c.load(ref)
 			}
 		}
 	}
-	ix := store.Indexes{Tau: c.tau, Sup: c.sup, TSD: c.tsd, GCT: c.gct, Epoch: uint64(c.epoch)}
-	if c.hybrid != nil {
-		ix.Rankings = c.hybrid.Rankings()
+	ix := store.Indexes{
+		Epoch:           uint64(c.epoch),
+		MeasureRankings: make(map[core.Measure][][]core.VertexScore),
+		PFree:           make(map[core.Measure][]core.VertexScore),
 	}
-	if len(c.mrank) > 0 {
-		ix.MeasureRankings = c.mrank
-	}
-	if len(c.pfrank) > 0 {
-		ix.PFree = c.pfrank
+	for ref, v := range c.secs {
+		switch ref.Section {
+		case store.SecTruss:
+			ix.Tau = v.([]int32)
+		case store.SecSupports:
+			ix.Sup = v.([]int32)
+		case store.SecTSD:
+			ix.TSD = v.(*core.TSDIndex)
+		case store.SecGCT:
+			ix.GCT = v.(*core.GCTIndex)
+		case store.SecRankings:
+			if ref.Measure == MeasureTruss {
+				ix.Rankings = v.([][]core.VertexScore)
+			} else {
+				ix.MeasureRankings[ref.Measure] = v.([][]core.VertexScore)
+			}
+		case store.SecPFree:
+			ix.PFree[ref.Measure] = v.([]core.VertexScore)
+		}
 	}
 	path := store.PathIn(c.dir)
 	if err := store.Save(path, c.g, ix); err != nil {
@@ -751,46 +648,63 @@ func (c *indexCache) persistLocked() {
 	}
 }
 
-func (c *indexCache) hasTau() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tau != nil
+// --- point queries shared by the engines ---
+
+// poolPoints serves an engine's point queries from one measure's scorer
+// pool — the snapshot's, shared with its other engines.
+type poolPoints struct{ pool *core.ScorerPool }
+
+func (p poolPoints) Score(ctx context.Context, v, k int32) (int, error) {
+	if err := singleVertexErr(ctx, p.pool.Graph(), v, k); err != nil {
+		return 0, err
+	}
+	return p.pool.Score(v, k), nil
 }
 
-func (c *indexCache) hasTSD() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tsd != nil
+func (p poolPoints) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
+	if err := singleVertexErr(ctx, p.pool.Graph(), v, k); err != nil {
+		return nil, err
+	}
+	return p.pool.Contexts(v, k), nil
 }
 
-func (c *indexCache) hasGCT() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gct != nil
+// gctPoints serves point queries from the GCT index (O(log d(v)) reads),
+// building it on first use.
+type gctPoints struct{ cache *indexCache }
+
+func (p gctPoints) index() *core.GCTIndex { return get[*core.GCTIndex](p.cache, gctRef, true) }
+
+func (p gctPoints) Score(ctx context.Context, v, k int32) (int, error) {
+	if err := singleVertexErr(ctx, p.cache.g, v, k); err != nil {
+		return 0, err
+	}
+	return p.index().Score(v, k), nil
 }
 
-func (c *indexCache) hasHybrid() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hybrid != nil
+func (p gctPoints) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
+	if err := singleVertexErr(ctx, p.cache.g, v, k); err != nil {
+		return nil, err
+	}
+	return p.index().Contexts(v, k), nil
 }
 
-// onDisk reports whether truss section s can be loaded from the
-// warm-start file — the "cheap to have" signal the cost estimates use. A
-// section that failed to load is not cheap: it will be rebuilt.
-func (c *indexCache) onDisk(s store.Section) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.file != nil && c.file.Has(s) && !c.bad[trussSec(s)]
+// singleVertexErr folds the context check into single-vertex validation.
+func singleVertexErr(ctx context.Context, g *Graph, v, k int32) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return checkVertex(g, v, k)
 }
 
-// storeMmap reports whether the warm-start file serves zero-copy views; a
-// "load" is then O(n) slice-header surgery over the mapping instead of an
-// O(m) read-and-decode, and the cost estimates price it accordingly.
-func (c *indexCache) storeMmap() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.file != nil && c.file.Mode() == store.ModeMmap
+// measureParams returns q's search parameters pinned to m, the one
+// measure engine name serves; a query naming another measure is rejected.
+func measureParams(name string, m Measure, q Query) (core.Params, error) {
+	if qm := q.Measure.Normalize(); q.Measure != "" && qm != m {
+		return core.Params{}, &UnsupportedMeasureError{Engine: name, Measure: qm}
+	}
+	p := q.params()
+	p.Measure = m
+	return p, nil
 }
 
 // --- online (Algorithm 3) ---
@@ -798,13 +712,13 @@ func (c *indexCache) storeMmap() bool {
 // onlineEngine and every other built-in engine of a snapshot borrow
 // their scorers from the snapshot's one MeasurePools.
 type onlineEngine struct {
-	eng   *core.Online
-	truss *core.ScorerPool // point queries
-	w     workload
+	poolPoints // truss point queries
+	eng        *core.Online
+	w          workload
 }
 
 func newOnlineEngine(pools core.MeasurePools, w workload) *onlineEngine {
-	return &onlineEngine{eng: core.NewOnlineWith(pools), truss: pools.Of(MeasureTruss), w: w}
+	return &onlineEngine{poolPoints: poolPoints{pools.Of(MeasureTruss)}, eng: core.NewOnlineWith(pools), w: w}
 }
 
 func (e *onlineEngine) Name() string { return "online" }
@@ -817,20 +731,6 @@ func (e *onlineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, erro
 	return e.eng.Search(ctx, q.params())
 }
 
-func (e *onlineEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
-		return 0, err
-	}
-	return e.truss.Score(v, k), nil
-}
-
-func (e *onlineEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
-		return nil, err
-	}
-	return e.truss.Contexts(v, k), nil
-}
-
 func (e *onlineEngine) Cost(q Query) Estimate {
 	return Estimate{Query: e.w.searchWork(e.w.egoWork, q) + e.w.contextWork(q)}
 }
@@ -838,21 +738,22 @@ func (e *onlineEngine) Cost(q Query) Estimate {
 // --- bound (Algorithm 4) ---
 
 type boundEngine struct {
-	eng   *core.Bound
-	truss *core.ScorerPool // point queries
-	cache *indexCache
-	w     workload
+	poolPoints // truss point queries
+	eng        *core.Bound
+	cache      *indexCache
+	w          workload
 }
 
 func newBoundEngine(pools core.MeasurePools, w workload, cache *indexCache) *boundEngine {
 	// The searcher reads the global truss decomposition through the DB
 	// cache, so the per-query sparsification cost is one edge filter once
 	// the decomposition is cached (or loaded from the index store).
+	tau := func() []int32 { return get[[]int32](cache, tauRef, true) }
 	return &boundEngine{
-		eng:   core.NewBoundWithTau(pools, cache.trussTau),
-		truss: pools.Of(MeasureTruss),
-		cache: cache,
-		w:     w,
+		poolPoints: poolPoints{pools.Of(MeasureTruss)},
+		eng:        core.NewBoundWithTau(pools, tau),
+		cache:      cache,
+		w:          w,
 	}
 }
 
@@ -866,20 +767,6 @@ func (e *boundEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 	return e.eng.Search(ctx, q.params())
 }
 
-func (e *boundEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
-		return 0, err
-	}
-	return e.truss.Score(v, k), nil
-}
-
-func (e *boundEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
-		return nil, err
-	}
-	return e.truss.Contexts(v, k), nil
-}
-
 func (e *boundEngine) Cost(q Query) Estimate {
 	if m := q.Measure.Normalize(); m != MeasureTruss {
 		// The non-truss bound pass replaces sparsification with one
@@ -890,17 +777,14 @@ func (e *boundEngine) Cost(q Query) Estimate {
 	}
 	// Sparsification needs the global truss decomposition: a fresh
 	// decomposition when nothing is cached, a sequential O(m) load when
-	// the index store has it, and only the edge filter once in memory.
+	// the index store has it, and only the edge filter once in memory —
+	// or mapped, where the decomposition is an O(1) view.
 	sparsify := e.w.m * e.w.avgDeg / 2
-	if e.cache.hasTau() {
+	switch e.cache.state(tauRef) {
+	case secInMemory, secMapped:
 		sparsify = e.w.m
-	} else if e.cache.onDisk(store.SecTruss) {
+	case secOnDisk:
 		sparsify = 2 * e.w.m
-		if e.cache.storeMmap() {
-			// The decomposition is an O(1) view into the mapping; only the
-			// per-query edge filter remains.
-			sparsify = e.w.m
-		}
 	}
 	return Estimate{Query: sparsify + e.w.searchWork(e.w.egoWork, q)/8 + e.w.contextWork(q)}
 }
@@ -917,13 +801,15 @@ func (e *tsdEngine) Name() string { return "tsd" }
 // Measures: the TSD forest encodes trussness weights — truss only.
 func (e *tsdEngine) Measures() []Measure { return []Measure{MeasureTruss} }
 
+func (e *tsdEngine) index() *core.TSDIndex { return get[*core.TSDIndex](e.cache, tsdRef, true) }
+
 func (e *tsdEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	// TSD.Search scores through goroutine-private TSDScorers, so
 	// concurrent searches over the shared index need no serialization.
-	return core.NewTSD(e.cache.tsdIndex()).Search(ctx, q.params())
+	return core.NewTSD(e.index()).Search(ctx, q.params())
 }
 
 func (e *tsdEngine) Score(ctx context.Context, v, k int32) (int, error) {
@@ -932,14 +818,14 @@ func (e *tsdEngine) Score(ctx context.Context, v, k int32) (int, error) {
 	}
 	// A fresh scorer per point query keeps this path concurrency-safe
 	// (TSDIndex.Score itself shares scratch across calls).
-	return e.cache.tsdIndex().Scorer().Score(v, k), nil
+	return e.index().Scorer().Score(v, k), nil
 }
 
 func (e *tsdEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
 	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
 		return nil, err
 	}
-	return e.cache.tsdIndex().Contexts(v, k), nil
+	return e.index().Contexts(v, k), nil
 }
 
 func (e *tsdEngine) Cost(q Query) Estimate {
@@ -947,18 +833,16 @@ func (e *tsdEngine) Cost(q Query) Estimate {
 	if q.IncludeContexts {
 		est.Query += float64(q.R) * e.w.avgDeg
 	}
-	if !e.cache.hasTSD() {
-		if e.cache.onDisk(store.SecTSD) {
-			// Deserializing is a sequential O(m) read — or O(n) slice-header
-			// surgery under mmap — far below the Σd² build, so routing
-			// treats a persisted index as nearly ready.
-			est.Build = e.w.m
-			if e.cache.storeMmap() {
-				est.Build = e.w.n
-			}
-		} else {
-			est.Build = e.w.egoWork
-		}
+	// Deserializing a persisted index is a sequential O(m) read — or O(n)
+	// slice-header surgery under mmap — far below the Σd² build, so
+	// routing treats it as nearly ready.
+	switch e.cache.state(tsdRef) {
+	case secOnDisk:
+		est.Build = e.w.m
+	case secMapped:
+		est.Build = e.w.n
+	case secMissing:
+		est.Build = e.w.egoWork
 	}
 	return est
 }
@@ -966,8 +850,8 @@ func (e *tsdEngine) Cost(q Query) Estimate {
 // --- gct (Algorithms 7-8) ---
 
 type gctEngine struct {
-	cache *indexCache
-	w     workload
+	gctPoints
+	w workload
 }
 
 func (e *gctEngine) Name() string { return "gct" }
@@ -979,21 +863,7 @@ func (e *gctEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return core.NewGCT(e.cache.gctIndex()).Search(ctx, q.params())
-}
-
-func (e *gctEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return 0, err
-	}
-	return e.cache.gctIndex().Score(v, k), nil
-}
-
-func (e *gctEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return nil, err
-	}
-	return e.cache.gctIndex().Contexts(v, k), nil
+	return core.NewGCT(e.index()).Search(ctx, q.params())
 }
 
 func (e *gctEngine) Cost(q Query) Estimate {
@@ -1002,28 +872,31 @@ func (e *gctEngine) Cost(q Query) Estimate {
 	if q.IncludeContexts {
 		est.Query += float64(q.R) * e.w.avgDeg
 	}
-	if !e.cache.hasGCT() {
-		if e.cache.onDisk(store.SecGCT) {
-			// A persisted index loads in one O(m) sequential read, or O(n)
-			// view construction under mmap.
-			est.Build = e.w.m
-			if e.cache.storeMmap() {
-				est.Build = e.w.n
-			}
-		} else {
-			// The GCT build does slightly more work than TSD's
-			// (compression on top of the same per-ego decompositions).
-			est.Build = 1.2 * e.w.egoWork
-		}
+	// A persisted index loads in one O(m) sequential read, or O(n) view
+	// construction under mmap. The build does slightly more work than
+	// TSD's (compression on top of the same per-ego decompositions).
+	switch e.cache.state(gctRef) {
+	case secOnDisk:
+		est.Build = e.w.m
+	case secMapped:
+		est.Build = e.w.n
+	case secMissing:
+		est.Build = 1.2 * e.w.egoWork
 	}
 	return est
 }
 
 // --- hybrid (paper Exp-4) ---
 
+// hybridEngine serves the truss row of the per-k rankings: a top-r query
+// is a prefix read of the truss rankings plus per-answer context recovery
+// from the snapshot's truss scorer pool. Cold, it builds the rankings
+// from the GCT index (building that too if needed); point queries read
+// the GCT index.
 type hybridEngine struct {
-	cache *indexCache
-	w     workload
+	gctPoints
+	pool *core.ScorerPool // truss context recovery
+	w    workload
 }
 
 func (e *hybridEngine) Name() string { return "hybrid" }
@@ -1036,41 +909,31 @@ func (e *hybridEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, erro
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return e.cache.hybridEngine().Search(ctx, q.params())
-}
-
-func (e *hybridEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return 0, err
+	p, err := measureParams("hybrid", MeasureTruss, q)
+	if err != nil {
+		return nil, nil, err
 	}
-	return e.cache.gctIndex().Score(v, k), nil
-}
-
-func (e *hybridEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return nil, err
-	}
-	return e.cache.gctIndex().Contexts(v, k), nil
+	perK := get[[][]core.VertexScore](e.cache, trussRanksRef, true)
+	return core.NewRanked(e.pool, perK).Search(ctx, p)
 }
 
 func (e *hybridEngine) Cost(q Query) Estimate {
 	// Reading the precomputed ranking is nearly free; recovering contexts
 	// online is one ego decomposition per answer vertex.
 	est := Estimate{Query: float64(q.R) + e.w.contextWork(q)}
-	if !e.cache.hasHybrid() {
-		if e.cache.onDisk(store.SecRankings) {
-			// Persisted rankings skip both the ranking pass and the GCT
-			// build: reconstruction is an O(n) read.
-			est.Build = e.w.n
-		} else {
-			est.Build = float64(8) * e.w.n
-			if !e.cache.hasGCT() {
-				if e.cache.onDisk(store.SecGCT) {
-					est.Build += e.w.m
-				} else {
-					est.Build += 1.2 * e.w.egoWork
-				}
-			}
+	switch e.cache.state(trussRanksRef) {
+	case secInMemory:
+	case secOnDisk, secMapped:
+		// Persisted rankings skip both the ranking pass and the GCT
+		// build: reconstruction is an O(n) read.
+		est.Build = e.w.n
+	default:
+		est.Build = float64(8) * e.w.n
+		switch e.cache.state(gctRef) {
+		case secOnDisk, secMapped:
+			est.Build += e.w.m
+		case secMissing:
+			est.Build += 1.2 * e.w.egoWork
 		}
 	}
 	return est
@@ -1087,16 +950,16 @@ func (e *hybridEngine) Cost(q Query) Estimate {
 // Cold, it runs the snapshot's online scan under its measure. Scores and
 // contexts come from the measure's pool in the snapshot's MeasurePools.
 type measureEngine struct {
+	poolPoints
 	name    string
 	measure Measure
-	pool    *core.ScorerPool
 	online  *core.Online
 	w       workload
 	cache   *indexCache
 }
 
 func newMeasureEngine(name string, m Measure, pools core.MeasurePools, online *core.Online, w workload, cache *indexCache) *measureEngine {
-	return &measureEngine{name: name, measure: m, pool: pools.Of(m), online: online, w: w, cache: cache}
+	return &measureEngine{poolPoints: poolPoints{pools.Of(m)}, name: name, measure: m, online: online, w: w, cache: cache}
 }
 
 func (e *measureEngine) Name() string { return e.name }
@@ -1108,33 +971,18 @@ func (e *measureEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, err
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if m := q.Measure.Normalize(); q.Measure != "" && m != e.measure {
-		return nil, nil, &UnsupportedMeasureError{Engine: e.name, Measure: m}
+	p, err := measureParams(e.name, e.measure, q)
+	if err != nil {
+		return nil, nil, err
 	}
-	p := q.params()
-	p.Measure = e.measure
 	// Rankings fast path: serve from the prepared (or store-loaded) per-k
 	// ranking, the same strategy the hybrid engine uses for truss. The
 	// answer is byte-identical to the online scan — same scores, same
 	// canonical order, same contexts — only cheaper.
-	if perK := e.cache.measureRankings(e.measure, false); perK != nil {
+	if perK := get[[][]core.VertexScore](e.cache, secRef(store.SecRankings, e.measure), false); perK != nil {
 		return core.NewRanked(e.pool, perK).Search(ctx, p)
 	}
 	return e.online.Search(ctx, p)
-}
-
-func (e *measureEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.pool.Graph(), v, k); err != nil {
-		return 0, err
-	}
-	return e.pool.Score(v, k), nil
-}
-
-func (e *measureEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.pool.Graph(), v, k); err != nil {
-		return nil, err
-	}
-	return e.pool.Contexts(v, k), nil
 }
 
 func (e *measureEngine) Cost(q Query) Estimate {
@@ -1145,10 +993,9 @@ func (e *measureEngine) Cost(q Query) Estimate {
 	// online/bound while batches amortize the build here — Batch prepares
 	// the rankings before running when it picks this engine.
 	est := Estimate{Query: float64(q.R) + e.w.contextWork(q)}
-	switch {
-	case e.cache.hasMeasureRank(e.measure):
-		// ready: nothing to build
-	case e.cache.onDiskMeasureRank(e.measure):
+	switch e.cache.state(secRef(store.SecRankings, e.measure)) {
+	case secInMemory:
+	case secOnDisk, secMapped:
 		est.Build = e.w.n
 	default:
 		factor := 1.25
@@ -1159,14 +1006,6 @@ func (e *measureEngine) Cost(q Query) Estimate {
 		est.Build = factor * e.w.egoWork
 	}
 	return est
-}
-
-// singleVertexErr folds the context check into single-vertex validation.
-func singleVertexErr(ctx context.Context, g *Graph, v, k int32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return checkVertex(g, v, k)
 }
 
 // --- pfree (parameter-free diversity, arXiv:1908.11612) ---
@@ -1209,7 +1048,7 @@ func (e *pfreeEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 	p.Measure = m
 	// The prepared/online split lives in the Searcher; both paths answer
 	// byte-identically, the ranking only removes the scan.
-	ranked := e.cache.pfreeRanking(m, false)
+	ranked := get[[]core.VertexScore](e.cache, secRef(store.SecPFree, m), false)
 	return pfree.NewSearcher(e.pools.Of(m), ranked).Search(ctx, p)
 }
 
@@ -1257,19 +1096,19 @@ func (e *pfreeEngine) Cost(q Query) Estimate {
 	// one online scan), amortized by Batch exactly like comp/kcore.
 	m := q.Measure.Normalize()
 	est := Estimate{Query: float64(q.R) + 2*e.w.contextWork(q)}
-	switch {
-	case e.cache.hasPFreeRank(m):
-		// ready: nothing to build
-	case e.cache.onDiskPFreeRank(m):
+	switch e.cache.state(secRef(store.SecPFree, m)) {
+	case secInMemory:
+	case secOnDisk, secMapped:
 		est.Build = e.w.n
-	case e.cache.hasPerKForPFree(m):
-		est.Build = 2 * e.w.n
 	default:
-		factor := 1.25
-		if m == MeasureCore {
-			factor = 1.5
+		est.Build = 2 * e.w.n
+		if e.cache.state(secRef(store.SecRankings, m)) == secMissing {
+			factor := 1.25
+			if m == MeasureCore {
+				factor = 1.5
+			}
+			est.Build = factor * e.w.egoWork
 		}
-		est.Build = factor * e.w.egoWork
 	}
 	return est
 }

@@ -7,6 +7,7 @@ import (
 
 	"trussdiv/internal/core"
 	"trussdiv/internal/gen"
+	"trussdiv/internal/store"
 	"trussdiv/internal/truss"
 )
 
@@ -137,7 +138,7 @@ func TestApplyPatchesPFreeRankings(t *testing.T) {
 	cache := withPFree.Snapshot().cache
 	cache.mu.Lock()
 	for _, m := range AllMeasures() {
-		if cache.pfrank[m] == nil {
+		if cache.secs[secRef(store.SecPFree, m)] == nil {
 			cache.mu.Unlock()
 			t.Fatalf("pfree ranking for %s missing after Apply; patch dropped it", m)
 		}

@@ -82,8 +82,8 @@ func TestApplyStreamRepairMatchesColdRebuild(t *testing.T) {
 		// The repaired decomposition is byte-equal to a cold one.
 		cache := db.Snapshot().cache
 		cache.mu.Lock()
-		tau := append([]int32(nil), cache.tau...)
-		sup := append([]int32(nil), cache.sup...)
+		tau := append([]int32(nil), cache.secs[tauRef].([]int32)...)
+		sup := append([]int32(nil), cache.secs[supRef].([]int32)...)
 		cache.mu.Unlock()
 		if want := truss.Decompose(db.Graph()); !reflect.DeepEqual(tau, want) {
 			t.Fatalf("step %d: repaired tau diverges from cold decomposition", step)

@@ -603,8 +603,12 @@ func (db *DB) SaveIndexes() (string, error) {
 
 // TSDIndexHandle returns the current snapshot's TSD index, building it if
 // necessary — for callers that persist indexes with WriteTo.
-func (db *DB) TSDIndexHandle() *core.TSDIndex { return db.Snapshot().cache.tsdIndex() }
+func (db *DB) TSDIndexHandle() *core.TSDIndex {
+	return get[*core.TSDIndex](db.Snapshot().cache, tsdRef, true)
+}
 
 // GCTIndexHandle returns the current snapshot's GCT index, building it if
 // necessary.
-func (db *DB) GCTIndexHandle() *core.GCTIndex { return db.Snapshot().cache.gctIndex() }
+func (db *DB) GCTIndexHandle() *core.GCTIndex {
+	return get[*core.GCTIndex](db.Snapshot().cache, gctRef, true)
+}

@@ -548,6 +548,15 @@ func TestCoordinatorServerHTTP(t *testing.T) {
 	if code := getJSON("/topr?k=4&r=6&candidates=1,2", &errBody); code != 400 {
 		t.Fatalf("candidates param = %d, want 400", code)
 	}
+	for _, url := range []string{
+		"/score?v=4294967296&k=3", // vertex beyond int32 (would wrap to 0)
+		"/score?v=0&k=4294967299", // k beyond int32 (would wrap to 3)
+		"/topr?k=4294967299&r=3",  // k beyond int32 (would wrap to 3)
+	} {
+		if code := getJSON(url, &errBody); code != 400 {
+			t.Fatalf("%s = %d, want 400", url, code)
+		}
+	}
 
 	// /metrics carries both endpoint histograms and fan-out stats.
 	var m struct {

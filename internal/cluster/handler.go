@@ -122,10 +122,10 @@ func (s *CoordinatorServer) handleTopR(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	// k is optional, matching the single-node server: absent means a
 	// parameter-free query, which every shard routes to its pfree engine.
-	k := 0
+	var k int64
 	if raw := qp.Get("k"); raw != "" {
 		var err error
-		if k, err = strconv.Atoi(raw); err != nil {
+		if k, err = strconv.ParseInt(raw, 10, 32); err != nil {
 			coordBadRequest(w, "parameter \"k\": %v", err)
 			return
 		}
@@ -178,7 +178,7 @@ func (s *CoordinatorServer) handleTopR(w http.ResponseWriter, r *http.Request) {
 		Engine:  consensusEngine(stats),
 		Routed:  q.Engine == "",
 		Measure: measure.Normalize(),
-		K:       k,
+		K:       int(k),
 		R:       rr,
 		TookUS:  time.Since(start).Microseconds(),
 		Shards:  s.coord.Shards(),
@@ -287,13 +287,13 @@ func (s *CoordinatorServer) handleEdges(w http.ResponseWriter, r *http.Request) 
 // /contexts. k is optional: absent (or 0) asks the owning shard for the
 // parameter-free score, matching the single-node server.
 func pointRequest(r *http.Request) (v, k int32, m trussdiv.Measure, err error) {
-	vi, err := strconv.Atoi(r.URL.Query().Get("v"))
+	vi, err := strconv.ParseInt(r.URL.Query().Get("v"), 10, 32)
 	if err != nil {
 		return 0, 0, "", fmt.Errorf("parameter \"v\": %v", err)
 	}
-	ki := 0
+	var ki int64
 	if raw := r.URL.Query().Get("k"); raw != "" {
-		if ki, err = strconv.Atoi(raw); err != nil {
+		if ki, err = strconv.ParseInt(raw, 10, 32); err != nil {
 			return 0, 0, "", fmt.Errorf("parameter \"k\": %v", err)
 		}
 	}

@@ -10,12 +10,18 @@ import (
 // possible k, the complete vertex ranking by structural diversity, so a
 // top-r query reads the first r entries directly — but it must still
 // recover the social contexts online with Algorithm 2, which is what makes
-// it lose to GCT as r grows.
+// it lose to GCT as r grows. It is the truss row of the rankings family:
+// the search itself is a Ranked over the truss per-k tables.
 type Hybrid struct {
-	g      *graph.Graph
-	scorer *Scorer
-	perK   [][]VertexScore // perK[k] sorted by score desc, vertex asc
-	maxK   int32
+	r *Ranked
+}
+
+// newHybrid adopts the truss per-k rankings perK (at least k=2 entries)
+// as a searcher over g.
+func newHybrid(g *graph.Graph, perK [][]VertexScore) *Hybrid {
+	r := NewRanked(NewScorerPool(g, MeasureTruss), perK)
+	r.engine = "hybrid"
+	return &Hybrid{r: r}
 }
 
 // BuildHybrid precomputes the per-k rankings. Scores are read from a GCT
@@ -30,12 +36,7 @@ func BuildHybrid(idx *GCTIndex) *Hybrid {
 			maxK = taus[0]
 		}
 	}
-	h := &Hybrid{
-		g:      g,
-		scorer: NewScorer(g),
-		perK:   make([][]VertexScore, maxK+1),
-		maxK:   maxK,
-	}
+	perK := make([][]VertexScore, maxK+1)
 	for k := int32(2); k <= maxK; k++ {
 		list := make([]VertexScore, 0, g.N())
 		for v := int32(0); int(v) < g.N(); v++ {
@@ -44,26 +45,25 @@ func BuildHybrid(idx *GCTIndex) *Hybrid {
 			}
 		}
 		sortAnswer(list)
-		h.perK[k] = list
+		perK[k] = list
 	}
-	return h
+	return newHybrid(g, perK)
 }
 
 // NewHybridFromRankings reconstructs a Hybrid from previously computed
 // per-k rankings (e.g. ones loaded from an index store): perK[k] must be
 // sorted by score descending then vertex ascending, exactly as Rankings
-// returns them. The rankings are adopted, not copied.
+// returns them. The rankings are adopted, not copied; a table without a
+// k=2 entry is replaced by an empty one that has it.
 func NewHybridFromRankings(g *graph.Graph, perK [][]VertexScore) *Hybrid {
-	maxK := int32(len(perK)) - 1
-	if maxK < 2 {
-		maxK = 2
-		perK = make([][]VertexScore, maxK+1)
+	if len(perK) < 3 {
+		perK = make([][]VertexScore, 3)
 	}
-	return &Hybrid{g: g, scorer: NewScorer(g), perK: perK, maxK: maxK}
+	return newHybrid(g, perK)
 }
 
 // MaxK returns the largest k with a non-trivial ranking.
-func (h *Hybrid) MaxK() int32 { return h.maxK }
+func (h *Hybrid) MaxK() int32 { return int32(len(h.r.perK)) - 1 }
 
 // TopR answers from the precomputed ranking, then computes the contexts of
 // each answer vertex online (the dominant cost, per the paper).
@@ -74,41 +74,11 @@ func (h *Hybrid) TopR(k int32, r int) (*Result, *Stats, error) {
 // Search answers from the precomputed ranking. Reading the ranking is
 // nearly free; the expensive part is the per-answer online context
 // recovery (Algorithm 2), which finishResult polls on every vertex — so a
-// Search with SkipContexts set is the cheapest query in the library.
+// Search with SkipContexts set is the cheapest query in the library. A
+// measure other than truss is rejected with an *UnsupportedMeasureError
+// naming the "hybrid" engine.
 func (h *Hybrid) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
-	p, err := p.normalized(h.g.N())
-	if err != nil {
-		return nil, nil, err
-	}
-	if m := p.Measure.Normalize(); m != MeasureTruss {
-		// The per-k rankings were scored by the truss model; per-measure
-		// rankings for the other models are served elsewhere.
-		return nil, nil, &UnsupportedMeasureError{Engine: "hybrid", Measure: m}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	var ranked []VertexScore
-	if int(p.K) < len(h.perK) {
-		ranked = h.perK[p.K]
-	}
-	answer, candidates := rankedAnswer(ranked, h.g.N(), p)
-	stats := &Stats{Candidates: candidates}
-	res, err := finishResult(ctx, answer, p, func(v int32) [][]int32 {
-		// Online social-context recovery (Algorithm 2); finishResult shards
-		// it across p.Workers goroutines — the dominant hybrid query cost.
-		return h.scorer.Contexts(v, p.K)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !p.SkipContexts {
-		// Every answer vertex cost one online recovery (the hybrid's
-		// "search space"); counted here so parallel recovery stays
-		// race-free.
-		stats.ScoreComputations = len(answer)
-	}
-	return res, exportStats(stats, p), nil
+	return h.r.Search(ctx, p)
 }
 
 // rankedAnswer selects the canonical top-r answer from one precomputed
@@ -154,7 +124,7 @@ func rankedAnswer(ranked []VertexScore, n int, p Params) ([]VertexScore, int) {
 // SizeBytes reports the ranking storage footprint.
 func (h *Hybrid) SizeBytes() int64 {
 	var b int64
-	for _, list := range h.perK {
+	for _, list := range h.r.perK {
 		b += int64(len(list))*8 + 24
 	}
 	return b
@@ -163,21 +133,21 @@ func (h *Hybrid) SizeBytes() int64 {
 // Rankings returns every per-k ranking indexed by k (entries below k=2
 // are nil), the inverse of NewHybridFromRankings. The slices alias
 // internal storage.
-func (h *Hybrid) Rankings() [][]VertexScore { return h.perK }
+func (h *Hybrid) Rankings() [][]VertexScore { return h.r.perK }
 
 // Ranking returns the full precomputed ranking for k (sorted by score
 // descending). The slice aliases internal storage.
 func (h *Hybrid) Ranking(k int32) []VertexScore {
-	if int(k) >= len(h.perK) {
+	if int(k) >= len(h.r.perK) {
 		return nil
 	}
-	return h.perK[k]
+	return h.r.perK[k]
 }
 
 // ScoresAt returns a dense score vector for threshold k computed from a
 // ranking, mainly for tests and the effectiveness experiments.
 func (h *Hybrid) ScoresAt(k int32) []int {
-	out := make([]int, h.g.N())
+	out := make([]int, h.r.g.N())
 	for _, e := range h.Ranking(k) {
 		out[e.V] = e.Score
 	}

@@ -142,10 +142,11 @@ func BuildMeasureRankings(g *graph.Graph, m Measure) [][]VertexScore {
 // answer vertices are recovered online with the measure's own scorer
 // (sharded across p.Workers, the dominant per-answer cost).
 type Ranked struct {
-	g    *graph.Graph
-	m    Measure
-	pool *ScorerPool
-	perK [][]VertexScore
+	g      *graph.Graph
+	m      Measure
+	pool   *ScorerPool
+	perK   [][]VertexScore
+	engine string // names the searcher in *UnsupportedMeasureError; "" = ranked[m]
 }
 
 // NewRanked returns a rankings-backed searcher for the measure of pool
@@ -169,7 +170,11 @@ func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 		return nil, nil, err
 	}
 	if m := p.Measure.Normalize(); m != r.m {
-		return nil, nil, &UnsupportedMeasureError{Engine: "ranked[" + string(r.m) + "]", Measure: m}
+		engine := r.engine
+		if engine == "" {
+			engine = "ranked[" + string(r.m) + "]"
+		}
+		return nil, nil, &UnsupportedMeasureError{Engine: engine, Measure: m}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -187,7 +192,9 @@ func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 		return nil, nil, err
 	}
 	if !p.SkipContexts {
-		// One online recovery per answer vertex, same accounting as Hybrid.
+		// Every answer vertex cost one online recovery (the "search
+		// space" of a rankings-backed engine); counted here so parallel
+		// recovery stays race-free.
 		stats.ScoreComputations = len(answer)
 	}
 	return res, exportStats(stats, p), nil

@@ -30,20 +30,16 @@ func PatchHybrid(old *Hybrid, idx *GCTIndex, affected []int32) *Hybrid {
 			maxK = taus[0]
 		}
 	}
-	h := &Hybrid{
-		g:      g,
-		scorer: NewScorer(g),
-		perK:   make([][]VertexScore, maxK+1),
-		maxK:   maxK,
-	}
+	perK := make([][]VertexScore, maxK+1)
+	oldPerK := old.Rankings()
 	aff := make(map[int32]bool, len(affected))
 	for _, v := range affected {
 		aff[v] = true
 	}
 	for k := int32(2); k <= maxK; k++ {
 		var oldList []VertexScore
-		if int(k) < len(old.perK) {
-			oldList = old.perK[k]
+		if int(k) < len(oldPerK) {
+			oldList = oldPerK[k]
 		}
 		fresh := make([]VertexScore, 0, len(affected))
 		for _, v := range affected {
@@ -55,9 +51,9 @@ func PatchHybrid(old *Hybrid, idx *GCTIndex, affected []int32) *Hybrid {
 		// BuildHybrid always allocates (possibly empty, never nil) lists,
 		// so the merge does too — patched rankings must round-trip through
 		// the store identically to built ones.
-		h.perK[k] = mergeRanked(oldList, fresh, aff)
+		perK[k] = mergeRanked(oldList, fresh, aff)
 	}
-	return h
+	return newHybrid(g, perK)
 }
 
 // PatchMeasureRankings derives measure m's per-k rankings for the edited

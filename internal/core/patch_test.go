@@ -10,9 +10,9 @@ func TestPatchHybridMatchesRebuild(t *testing.T) {
 		g := randomGraph(t, 30, 140, seed+700)
 		idx := BuildGCTIndex(g)
 		old := BuildHybrid(idx)
-		oldCopy := make([][]VertexScore, len(old.perK))
-		for k := range old.perK {
-			oldCopy[k] = append([]VertexScore(nil), old.perK[k]...)
+		oldCopy := make([][]VertexScore, len(old.Rankings()))
+		for k := range old.Rankings() {
+			oldCopy[k] = append([]VertexScore(nil), old.Rankings()[k]...)
 		}
 
 		ins, del := randomEdits(t, g, 4, 4, seed+701)
@@ -25,16 +25,16 @@ func TestPatchHybridMatchesRebuild(t *testing.T) {
 
 		patched := PatchHybrid(old, newIdx, affected)
 		fresh := BuildHybrid(newIdx)
-		if patched.maxK != fresh.maxK {
-			t.Fatalf("seed %d: patched maxK %d, fresh %d", seed, patched.maxK, fresh.maxK)
+		if patched.MaxK() != fresh.MaxK() {
+			t.Fatalf("seed %d: patched maxK %d, fresh %d", seed, patched.MaxK(), fresh.MaxK())
 		}
-		if !reflect.DeepEqual(patched.perK, fresh.perK) {
+		if !reflect.DeepEqual(patched.Rankings(), fresh.Rankings()) {
 			t.Fatalf("seed %d: patched hybrid rankings diverge from rebuild\npatched: %v\nfresh:   %v",
-				seed, patched.perK, fresh.perK)
+				seed, patched.Rankings(), fresh.Rankings())
 		}
 		// Copy-on-write contract: the previous snapshot's rankings survive.
 		for k := range oldCopy {
-			if !reflect.DeepEqual(old.perK[k], oldCopy[k]) {
+			if !reflect.DeepEqual(old.Rankings()[k], oldCopy[k]) {
 				t.Fatalf("seed %d k=%d: PatchHybrid mutated the old rankings", seed, k)
 			}
 		}
@@ -46,7 +46,7 @@ func TestPatchHybridNoAffected(t *testing.T) {
 	idx := BuildGCTIndex(g)
 	old := BuildHybrid(idx)
 	patched := PatchHybrid(old, idx, nil)
-	if !reflect.DeepEqual(patched.perK, old.perK) {
+	if !reflect.DeepEqual(patched.Rankings(), old.Rankings()) {
 		t.Fatal("empty affected set must reproduce the rankings unchanged")
 	}
 }

@@ -302,30 +302,27 @@ func measureParam(r *http.Request) (trussdiv.Measure, error) {
 	return trussdiv.ParseMeasure(raw)
 }
 
-// intParam parses a required integer query parameter.
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
+// intParam parses a required integer query parameter that must fit in
+// bits bits (0: an int), so a vertex id or k beyond int32 is rejected
+// instead of wrapping around.
+func intParam(r *http.Request, name string, bits int) (int, error) {
+	if r.URL.Query().Get(name) == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return v, nil
+	return optionalIntParam(r, name, bits)
 }
 
-// optionalIntParam parses an integer query parameter, 0 when absent.
-func optionalIntParam(r *http.Request, name string) (int, error) {
+// optionalIntParam is intParam with 0 for an absent parameter.
+func optionalIntParam(r *http.Request, name string, bits int) (int, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return 0, nil
 	}
-	v, err := strconv.Atoi(raw)
+	v, err := strconv.ParseInt(raw, 10, bits)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %q: %v", name, err)
 	}
-	return v, nil
+	return int(v), nil
 }
 
 // clampWorkers bounds a client-supplied worker count: non-positive falls
@@ -378,12 +375,12 @@ type topRResult struct {
 func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 	// k is optional: absent (or 0) builds a parameter-free query, which
 	// routes to the pfree engine — the objective picks each vertex's level.
-	k, err := optionalIntParam(r, "k")
+	k, err := optionalIntParam(r, "k", 32)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	rr, err := intParam(r, "r")
+	rr, err := intParam(r, "r", 0)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -393,7 +390,7 @@ func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	workers, err := optionalIntParam(r, "workers")
+	workers, err := optionalIntParam(r, "workers", 0)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -684,11 +681,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 // level), matching /topr; engine=pfree makes that explicit and rejects
 // a non-zero k with 400, mirroring the library's BadQueryError.
 func (s *Server) vertexParam(r *http.Request) (v, k int32, pf bool, err error) {
-	vi, err := intParam(r, "v")
+	vi, err := intParam(r, "v", 32)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	ki, err := optionalIntParam(r, "k")
+	ki, err := optionalIntParam(r, "k", 32)
 	if err != nil {
 		return 0, 0, false, err
 	}

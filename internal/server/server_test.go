@@ -108,6 +108,9 @@ func TestValidationErrors(t *testing.T) {
 		"/score?v=0&k=4&engine=online", // only pfree has point semantics
 		"/score?v=0&k=4&engine=pfree",  // pfree forbids a threshold
 		"/contexts?v=abc&k=4",          // non-integer
+		"/score?v=4294967296&k=3",      // vertex beyond int32 (would wrap to 0)
+		"/score?v=0&k=4294967299",      // k beyond int32 (would wrap to 3)
+		"/topr?k=4294967299&r=3",       // k beyond int32 (would wrap to 3)
 	} {
 		body := getJSON(t, ts.URL+url, http.StatusBadRequest)
 		if body["error"] == "" {

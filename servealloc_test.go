@@ -56,6 +56,16 @@ func servingCalls(t *testing.T, db *trussdiv.DB, verts []int32) map[string]func(
 			check(err)
 		}
 	}
+	calls["TopR/hybrid"] = func(i int) {
+		// The hybrid rankings are prepared; each call reads a prefix and
+		// recovers the answer vertices' contexts.
+		cands := append(verts[i%len(verts):], verts[:i%len(verts)]...)
+		_, _, err := db.TopR(ctx, trussdiv.Query{
+			K: 3, R: 5, Engine: "hybrid", Candidates: cands,
+			IncludeContexts: true, Workers: 1,
+		})
+		check(err)
+	}
 	for _, m := range trussdiv.AllMeasures() {
 		calls["ScorePFree/"+string(m)] = func(i int) {
 			_, err := db.ScorePFree(ctx, verts[i%len(verts)], m)
@@ -103,6 +113,9 @@ func TestServingBytesPerCallFlatInN(t *testing.T) {
 	measure := func(g *trussdiv.Graph) map[string]float64 {
 		db, err := trussdiv.Open(g, trussdiv.WithResultCache(0))
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Prepare(context.Background(), "hybrid"); err != nil {
 			t.Fatal(err)
 		}
 		out := map[string]float64{}

@@ -104,8 +104,8 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snap
 		{online, true},
 		{newBoundEngine(s.pools, s.w, cache), true},
 		{&tsdEngine{cache: cache, w: s.w}, true},
-		{&gctEngine{cache: cache, w: s.w}, true},
-		{&hybridEngine{cache: cache, w: s.w}, true},
+		{&gctEngine{gctPoints: gctPoints{cache}, w: s.w}, true},
+		{&hybridEngine{gctPoints: gctPoints{cache}, pool: s.pools.Of(MeasureTruss), w: s.w}, true},
 		// The native measure engines are routable for their own measure
 		// only (they declare it via MeasureLister), so truss queries never
 		// see them — same reachability as when they were non-routable.
@@ -347,7 +347,7 @@ func (s *Snapshot) Contexts(ctx context.Context, v, k int32) ([][]int32, error) 
 func (s *Snapshot) pointEngine() Engine {
 	name := s.forced
 	if name == "" {
-		if s.cache.hasGCT() {
+		if s.cache.state(gctRef) == secInMemory {
 			name = "gct"
 		} else {
 			name = "online"
@@ -380,39 +380,15 @@ func (s *Snapshot) Prepare(ctx context.Context, names ...string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		switch name {
-		case "bound":
-			// The bound engine's per-query sparsification reads the cached
-			// global truss decomposition.
-			s.cache.trussTau()
-		case "tsd":
-			s.cache.tsdIndex()
-		case "gct":
-			s.cache.gctIndex()
-		case "hybrid":
-			s.cache.hybridEngine()
-		case "comp":
-			// The native measure engines precompute their per-k rankings
-			// (the hybrid strategy generalized), so prepared measures answer
-			// top-r in O(r).
-			s.cache.measureRankings(MeasureComponent, true)
-		case "kcore":
-			s.cache.measureRankings(MeasureCore, true)
-		case "pfree":
-			// The parameter-free engine is prepared for every measure it
-			// serves: each pfree ranking derives in O(table) from the per-k
-			// rankings (built here if missing), so a prepared pfree answers
-			// any measure's k-less top-r in O(r).
-			for _, m := range AllMeasures() {
-				s.cache.pfreeRanking(m, true)
-			}
-		case "online":
-			// stateless engine: nothing to prepare
-		default:
+		refs, ok := prepareRefs[name]
+		if !ok {
 			if _, err := s.reg.lookup(name); err != nil {
 				return err
 			}
 			return fmt.Errorf("trussdiv: Prepare: engine %q manages its own state", name)
+		}
+		for _, ref := range refs {
+			get[any](s.cache, ref, true)
 		}
 	}
 	return nil
@@ -570,29 +546,29 @@ func (s *Snapshot) IndexStats() IndexStats {
 	c := s.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	tsd, _ := c.secs[tsdRef].(*core.TSDIndex)
+	gct, _ := c.secs[gctRef].(*core.GCTIndex)
 	st := IndexStats{
-		TSDReady:    c.tsd != nil,
-		GCTReady:    c.gct != nil,
-		HybridReady: c.hybrid != nil,
-		TauReady:    c.tau != nil,
+		TSDReady:    tsd != nil,
+		GCTReady:    gct != nil,
+		HybridReady: c.secs[trussRanksRef] != nil,
+		TauReady:    c.secs[tauRef] != nil,
 		BuildTime:   c.buildTime,
 		LoadTime:    c.loadTime,
 	}
 	for _, m := range AllMeasures() {
-		if c.mrank[m] != nil {
+		if m != MeasureTruss && c.secs[secRef(store.SecRankings, m)] != nil {
 			st.MeasureRankings = append(st.MeasureRankings, m)
 		}
-	}
-	for _, m := range AllMeasures() {
-		if c.pfrank[m] != nil {
+		if c.secs[secRef(store.SecPFree, m)] != nil {
 			st.PFreeRankings = append(st.PFreeRankings, m)
 		}
 	}
-	if c.tsd != nil {
-		st.TSDBytes = c.tsd.SizeBytes()
+	if tsd != nil {
+		st.TSDBytes = tsd.SizeBytes()
 	}
-	if c.gct != nil {
-		st.GCTBytes = c.gct.SizeBytes()
+	if gct != nil {
+		st.GCTBytes = gct.SizeBytes()
 	}
 	return st
 }
