@@ -21,9 +21,12 @@ import (
 
 // bytesPerCall returns the mean heap bytes one call of f allocates once
 // warm. The collector is off for the measurement so that pooled scratch
-// is not dropped halfway through.
+// is not dropped halfway through, and one P runs it: a sync.Pool keeps a
+// private item per P, so a call that moved to another P would miss the
+// pool once and charge a whole scorer to the path.
 func bytesPerCall(runs int, f func(i int)) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < runs; i++ {
 		f(i)
 	}
